@@ -142,13 +142,30 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the pinned trace schema with 15 significant digits."""
-        cols = (self.t, self.x1, self.x2, self.z1, self.z2, self.e1, self.e2,
-                self.u, self.p2_hat, self.theta1_hat, self.v,
-                self.vdot_numeric, self.vdot_analytic)
-        with open(path, "w", newline="") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for i in range(len(self.t)):
-                fh.write(",".join(f"{c[i]:.15g}" for c in cols) + "\n")
+        write_csv(path, self.CSV_HEADER,
+                  (self.t, self.x1, self.x2, self.z1, self.z2, self.e1, self.e2,
+                   self.u, self.p2_hat, self.theta1_hat, self.v,
+                   self.vdot_numeric, self.vdot_analytic))
+
+
+CSV_CHUNK_ROWS = 2048
+
+
+def write_csv(path, header: str, cols) -> None:
+    """Write equal-length numeric columns as CSV, 15 significant digits.
+
+    Rows are formatted CSV_CHUNK_ROWS at a time with one %-format call per
+    chunk; "%.15g" gives the same text as f"{v:.15g}", so the output is
+    byte-identical to per-cell formatting while memory stays bounded by one
+    chunk rather than the whole table.
+    """
+    row_fmt = ",".join(["%.15g"] * len(cols)) + "\n"
+    n = len(cols[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _make_stage_fn(cfg: SimConfig):
@@ -239,9 +256,11 @@ def _make_v_fn(cfg: SimConfig):
     return v
 
 
-def _rk4(stage, state, dt):
+def _rk4(stage, state, dt, a=None):
+    """One classical RK4 step; a, if given, is stage(*state) already computed."""
     x1, x2, p2h, th1h = state
-    a = stage(x1, x2, p2h, th1h)
+    if a is None:
+        a = stage(x1, x2, p2h, th1h)
     h = 0.5 * dt
     b = stage(x1 + h * a[0], x2 + h * a[1], p2h + h * a[2], th1h + h * a[3])
     c = stage(x1 + h * b[0], x2 + h * b[1], p2h + h * b[2], th1h + h * b[3])
@@ -291,6 +310,7 @@ def run(cfg: SimConfig) -> Trajectory:
     failure = None
     j = 0
     for i in range(n + 1):
+        out = None  # a logged step's stage evaluation doubles as RK4's first stage
         if i % stride == 0 or i == n:
             x1, x2, p2h, th1h = state
             try:
@@ -315,7 +335,7 @@ def run(cfg: SimConfig) -> Trajectory:
         if i == n:
             break
         try:
-            state = _rk4(stage, state, dt)
+            state = _rk4(stage, state, dt, a=out)
         except _STAGE_ERRORS as exc:
             failure = RunFailure(time=i * dt, kind=type(exc).__name__,
                                  message=str(exc))

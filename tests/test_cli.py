@@ -1,10 +1,14 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from safelift.cli import main
+import safelift as sl
+from safelift.cli import _write_estimation_errors, main
+from safelift.simulator import CSV_CHUNK_ROWS
 
 FIG2 = "configs/dc_motor_fig2.cfg"
 CERTIFIED = "configs/dc_motor_certified.cfg"
@@ -79,6 +83,50 @@ class TestRunCommand:
                              names=True)
         assert np.all(data["theta1_err"] >= 0)
 
+    def test_theta1_error_centred_on_scaled_target(self, tmp_path):
+        # The estimator converges to theta1 / x2_max; with x2_max = 2 that
+        # differs from theta1, so a theta1-centred column would be off.
+        cfg = write_cfg(tmp_path, BASE.replace("x2_max = 1.0", "x2_max = 2.0"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        sim = sl.load_config(cfg).sim
+        traj = sl.run(sim)
+        data = np.genfromtxt(out / "estimation_errors.csv", delimiter=",",
+                             names=True)
+        expected = np.abs(traj.theta1_hat - sim.plant.theta1 / 2.0)
+        assert np.allclose(data["theta1_err"], expected, rtol=1e-14, atol=0)
+        assert not np.allclose(data["theta1_err"],
+                               np.abs(traj.theta1_hat - sim.plant.theta1))
+        assert np.allclose(data["log10_theta1_err"], np.log10(expected),
+                           rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS + 1])
+    def test_estimation_errors_match_per_row_formatting(self, tmp_path, rows):
+        # Whole-array log10 must give the same bytes as the scalar log10 of
+        # a per-row writer, including errors that hit the 1e-300 floor.
+        rng = np.random.default_rng(7)
+        plant = SimpleNamespace(theta1=-3.7, theta2=0.8)
+        box = SimpleNamespace(x2_max=2.0)
+        th1_target, p2_target = plant.theta1 / box.x2_max, 1.0 / plant.theta2
+        scale = 10.0 ** rng.integers(-320, 3, rows)
+        th1_hat = th1_target + rng.standard_normal(rows) * scale
+        p2_hat = p2_target + rng.standard_normal(rows) * scale[::-1]
+        th1_hat[::5] = th1_target
+        p2_hat[::3] = p2_target
+        traj = SimpleNamespace(t=np.arange(rows) * 1e-3, theta1_hat=th1_hat,
+                               p2_hat=p2_hat)
+        got = tmp_path / "got.csv"
+        _write_estimation_errors(got, traj, plant, box)
+
+        lines = ["t,theta1_err,p2_err,log10_theta1_err,log10_p2_err"]
+        for i in range(rows):
+            e1 = abs(th1_hat[i] - th1_target)
+            e2 = abs(p2_hat[i] - p2_target)
+            lines.append(f"{traj.t[i]:.15g},{e1:.15g},{e2:.15g},"
+                         f"{np.log10(max(e1, 1e-300)):.15g},"
+                         f"{np.log10(max(e2, 1e-300)):.15g}")
+        assert got.read_text() == "\n".join(lines) + "\n"
+
     def test_svg_rendering(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out = tmp_path / "out"
@@ -114,6 +162,16 @@ class TestRunCommand:
         assert "aborted at t=" in err
         # Partial artifacts still written for post-mortem.
         assert (out / "cert.txt").is_file()
+
+    def test_abort_at_start_writes_header_only_csvs(self, tmp_path, capsys):
+        body = BASE.replace("x2 = 0.9", "x2 = 0.9\np2_hat = 1e308")
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "aborted at t=0" in capsys.readouterr().err
+        assert (out / "trace.csv").read_text() == sl.Trajectory.CSV_HEADER + "\n"
+        for name in ("states_input.csv", "estimation_errors.csv"):
+            assert len((out / name).read_text().splitlines()) == 1
 
 
 class TestSweepCommand:

@@ -1,5 +1,6 @@
 """Simulator: config validation, stepping, guards, logging, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
-from safelift.simulator import _make_stage_fn
+from safelift.simulator import CSV_CHUNK_ROWS, _make_stage_fn, write_csv
 
 V0_BENCH = 57.441257570906908
 
@@ -154,6 +155,31 @@ class TestRun:
         err = np.max(np.abs(run_plus.vdot_numeric - run_plus.vdot_analytic))
         assert err < 1e-3
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_logging_costs_no_stage_evaluations(self, bench_cfg, motor, stride):
+        # A logged step's stage evaluation is reused as RK4's first stage, so
+        # n steps take 4n stages plus the final logged row, at any stride.
+        calls = 0
+
+        def counted_g1(x1):
+            nonlocal calls
+            calls += 1
+            return motor.g1(x1)
+
+        cfg = bench_cfg(plant=dataclasses.replace(motor, g1=counted_g1),
+                        t_final=0.05, log_stride=stride)
+        assert sl.run(cfg).completed
+        assert calls == 4 * cfg.n_steps + 1
+
+    def test_log_stride_does_not_change_arithmetic(self, bench_cfg):
+        dense = sl.run(bench_cfg(t_final=1.0))
+        thin = sl.run(bench_cfg(t_final=1.0, log_stride=7))
+        idx = np.round(thin.t / 1e-3).astype(int)
+        assert idx[-1] == len(dense) - 1
+        for name in ("t", "x1", "x2", "p2_hat", "theta1_hat", "e1", "e2",
+                     "u", "v", "vdot_analytic"):
+            assert np.array_equal(getattr(thin, name), getattr(dense, name)[idx]), name
+
     def test_estimator_states_integrated_inside_rk4(self, bench_cfg):
         # Halving dt changes the estimates at fixed time at fourth order;
         # a side-channel Euler update would only manage first order.
@@ -184,3 +210,32 @@ class TestTrajectoryCsv:
         sample = text[1].split(",")[10]
         mantissa = sample.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) >= 12
+
+
+def per_cell_csv(path, header, cols):
+    """Reference writer: one f-string per cell, the format write_csv matches."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for i in range(len(cols[0])):
+            fh.write(",".join(f"{c[i]:.15g}" for c in cols) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1e15, 1e16, 123456789012345.6,
+               1.0 / 3.0, 2.0 ** 0.5, 1e-5, 1.7976931348623157e308,
+               math.inf, math.nan]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        edge = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+        cols = (np.resize(edge, rows),
+                rng.permutation(np.resize(edge, rows)),
+                rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+                rng.uniform(-1.0, 1.0, rows))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, "a,b,c,d", cols)
+        per_cell_csv(want, "a,b,c,d", cols)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == rows + 1
