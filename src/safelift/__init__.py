@@ -16,11 +16,11 @@ from .lifting import (EPS_DOMAIN, CoordinateFrame, LiftingFamily, SafeSet,
                       logit_family, tanh_family, unlift)
 from .plant import (AssumptionReport, DcMotorParams, PlantDef, PlantShape,
                     check_assumptions, dc_motor, double_integrator, plant_rhs)
-from .lifted_dynamics import LiftedDynamics, LiftedRun, run_lifted
+from .lifted_dynamics import LiftedDynamics
 from .controller import (ControllerGains, ControllerSignals, EstimatorState,
-                         Reference, adaptation_rates, control_input, evaluate,
-                         tracking_errors)
-from .simulator import RunFailure, SimConfig, Trajectory, run, step
+                         Reference, compile_law, evaluate)
+from .simulator import (LiftedRun, RunFailure, SimConfig, Trajectory, run,
+                        run_lifted, step)
 from .monitor import (CertThresholds, Certificate, SignAdjudication,
                       adjudicate_p2_sign, certify, lyapunov, vdot_analytic)
 from .config import ExperimentConfig, apply_overrides, load_config, sweep_rows
@@ -35,7 +35,7 @@ __all__ = [
     "plant_rhs", "check_assumptions", "AssumptionReport",
     "LiftedDynamics", "LiftedRun", "run_lifted",
     "ControllerGains", "ControllerSignals", "EstimatorState", "Reference",
-    "tracking_errors", "control_input", "adaptation_rates", "evaluate",
+    "compile_law", "evaluate",
     "SimConfig", "Trajectory", "RunFailure", "run", "step",
     "Certificate", "CertThresholds", "SignAdjudication",
     "lyapunov", "vdot_analytic", "certify", "adjudicate_p2_sign",

@@ -1,6 +1,6 @@
-"""Adaptive backstepping controller in lifted coordinates.
+"""Adaptive backstepping controller in lifted coordinates: the one law.
 
-Design summary, for a frame with lifted state z and normalized state xn:
+Design summary, for a state x with normalized state xn and lifted state z:
 
     e1 = z1 - z1_ref                         first-stage tracking error
     e2 = virtual_gain * xn2 + k1 * e1        second-stage error, with xn2
@@ -26,8 +26,12 @@ non-increasing; -1 is an alternate sign that tracks more aggressively on
 some scenarios but voids the monotonicity certificate. See the monitor module's
 sign adjudication helper.
 
-The controller reads only the plant shape (g1, f2, g2) and sign(theta2),
-never the true parameter values.
+compile_law writes this law once, as the closed-loop rates in regressor
+form. The unknown parameters enter the plant linearly, x2' = theta1 phi +
+theta2 psi, so the law returns phi and psi and leaves the sum to the
+integrator. It takes a PlantShape (the shape functions g1, f2, g2 and
+sign(theta2)) and refuses anything else, so the controller cannot read the
+true parameter values: the firewall is the argument type.
 """
 
 from __future__ import annotations
@@ -35,9 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams, NonFiniteInput
-from .lifting import CoordinateFrame, SafeSet, FamilySpec, family_pair
+from .errors import (DomainViolation, InvalidParams, NonFiniteInput,
+                     SingularityDetected)
 from .lifted_dynamics import LiftedDynamics
+from .lifting import (EPS_DOMAIN, CoordinateFrame, SafeSet, FamilySpec,
+                      family_pair)
+from .plant import PlantShape
 
 
 @dataclass(frozen=True)
@@ -108,53 +115,80 @@ class ControllerSignals:
     dtheta1_hat: float
 
 
-def _signals(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
-             gains: ControllerGains, est: EstimatorState,
-             p2_law_sign: float = 1.0, fields=None) -> ControllerSignals:
-    # fields lets a caller that already evaluated the lifted gains at this
-    # frame skip the recomputation.
-    if fields is None:
-        fields = dyn._fields_at(frame)
-    vgain, regressor, igain = fields
-    c2 = frame.xn[1]
-    e1 = frame.z[0] - ref.z1d
-    e2 = vgain * c2 + gains.k1 * e1
-    if not (math.isfinite(est.p2_hat) and math.isfinite(est.theta1_hat)):
-        raise NonFiniteInput(f"non-finite estimates {est}")
-    inner = regressor * est.theta1_hat + vgain * gains.k2 * e2
-    u = -dyn.safe_set.x2_max * est.p2_hat * inner / igain
-    if not math.isfinite(u):
-        raise NonFiniteInput(f"control input overflowed to {u!r}")
-    dp2 = p2_law_sign * gains.gamma * gains.theta2_sign * c2 * inner
-    dth1 = gains.alpha * c2 * regressor
-    return ControllerSignals(e1=e1, e2=e2, u=u, dp2_hat=dp2, dtheta1_hat=dth1)
+def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
+                gains: ControllerGains, ref: Reference, p2_law_sign: float = 1.0):
+    """Compile the control and adaptation law into one flat closure.
 
+    Returns law(x1, x2, p2_hat, theta1_hat) ->
+    (x1', phi, psi, p2_hat', theta1_hat', e1, e2, u), where the plant's
+    second rate is x2' = theta1 * phi + theta2 * psi with phi = f2(x1, x2)
+    and psi = g2(x1, x2) * u. The closure is the RK4 stage of the
+    simulator's hot path, so it builds no frame objects.
 
-def tracking_errors(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
-                    gains: ControllerGains) -> tuple[float, float]:
-    """(e1, e2) at a frame."""
-    fields = dyn._fields_at(frame)
-    vgain = fields[0]
-    e1 = frame.z[0] - ref.z1d
-    return e1, vgain * frame.xn[1] + gains.k1 * e1
+    A non-finite stage state or an overflowed u raises NonFiniteInput, a
+    state inside the guard band raises DomainViolation, and a zero or
+    non-finite lifted gain raises SingularityDetected.
+    """
+    if not isinstance(shape, PlantShape):
+        raise InvalidParams(
+            "the control law takes the controller-facing PlantShape "
+            f"(plant.control_view()), got {type(shape).__name__}")
+    g1, f2, g2 = shape.g1, shape.f2, shape.g2
+    fam1, fam2 = family_pair(family)
+    un1 = fam1.unsquash
+    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
+    xb1, xb2 = safe_set.bounds
+    lim1 = xb1 * (1.0 - EPS_DOMAIN)
+    lim2 = xb2 * (1.0 - EPS_DOMAIN)
+    k1 = gains.k1
+    k2 = gains.k2
+    gam, alp = gains.gamma, gains.alpha
+    sgn = gains.theta2_sign
+    z1d = ref.z1d
+    isfinite = math.isfinite
 
+    def law(x1, x2, p2h, th1h):
+        if not (isfinite(x1) and isfinite(x2) and isfinite(p2h) and isfinite(th1h)):
+            raise NonFiniteInput(
+                f"non-finite stage state ({x1}, {x2}, p2_hat={p2h}, theta1_hat={th1h})")
+        if not (-lim1 < x1 < lim1 and -lim2 < x2 < lim2):
+            raise DomainViolation(
+                f"stage state ({x1}, {x2}) at or beyond the constraint guard band")
+        c1 = x1 / xb1
+        c2 = x2 / xb2
+        e1 = xb1 * un1(c1) - z1d
+        g1v = g1(x1)
+        vgain = dun1(c1) * g1v * xb2
+        if vgain == 0.0 or not isfinite(vgain):
+            raise SingularityDetected(f"virtual gain {vgain!r} at x1={x1}")
+        e2 = vgain * c2 + k1 * e1
+        d2 = dun2(c2)
+        f2v = f2(x1, x2)
+        g2v = g2(x1, x2)
+        igain = d2 * g2v
+        if igain == 0.0 or not isfinite(igain):
+            raise SingularityDetected(f"lifted input gain {igain!r} at ({x1}, {x2})")
+        inner = (d2 * f2v) * th1h + vgain * k2 * e2
+        u = -xb2 * p2h * inner / igain
+        if not isfinite(u):
+            raise NonFiniteInput(f"control input overflowed to {u!r}")
+        return (g1v * x2, f2v, g2v * u,
+                p2_law_sign * gam * sgn * c2 * inner,
+                alp * c2 * (d2 * f2v),
+                e1, e2, u)
 
-def control_input(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
-                  gains: ControllerGains, est: EstimatorState) -> float:
-    """The control input u at a frame under the current estimates."""
-    return _signals(dyn, frame, ref, gains, est).u
-
-
-def adaptation_rates(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
-                     gains: ControllerGains, est: EstimatorState,
-                     p2_law_sign: float = 1.0) -> tuple[float, float]:
-    """(p2_hat rate, theta1_hat rate) at a frame."""
-    sig = _signals(dyn, frame, ref, gains, est, p2_law_sign)
-    return sig.dp2_hat, sig.dtheta1_hat
+    return law
 
 
 def evaluate(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
              gains: ControllerGains, est: EstimatorState,
              p2_law_sign: float = 1.0) -> ControllerSignals:
-    """Errors, control input, and adaptation rates in one evaluation."""
-    return _signals(dyn, frame, ref, gains, est, p2_law_sign)
+    """Errors, control input, and adaptation rates at one frame.
+
+    Only the control view of dyn's plant reaches the law.
+    """
+    law = compile_law(dyn.plant.control_view(), dyn.safe_set, dyn.family,
+                      gains, ref, p2_law_sign)
+    _, _, _, dp2, dth1, e1, e2, u = law(frame.x[0], frame.x[1], est.p2_hat,
+                                        est.theta1_hat)
+    return ControllerSignals(e1=e1, e2=e2, u=u, dp2_hat=dp2, dtheta1_hat=dth1)

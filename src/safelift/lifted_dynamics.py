@@ -20,10 +20,10 @@ Structural facts used by the controller design and verified in the tests:
 both z-rates vanish at z2 = 0, and virtual_gain and input_gain are nonzero
 wherever the plant assumptions hold, so (z1_ref, 0, u=0) is an equilibrium.
 
-The module also provides a closed-loop integrator running entirely in
-z coordinates; it is an independent route to the same trajectory as the
-x-coordinate simulator and serves as the end-to-end oracle for the
-coordinate-change algebra.
+``rhs`` is the lifted vector field under an arbitrary input; the monitor
+uses it for the equilibrium residual and the tests check it against a
+finite-difference pushforward of the plant. The closed loop integrated in
+z coordinates (``simulator.run_lifted``) calls the controller's law instead.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvalidParams, SingularityDetected
 from .lifting import CoordinateFrame, SafeSet, FamilySpec, family_pair, unlift
@@ -50,26 +48,16 @@ class LiftedDynamics:
     safe_set: SafeSet
     family: FamilySpec
 
-    @property
-    def families(self):
-        return family_pair(self.family)
+    def fields(self, z: Sequence[float]) -> tuple[float, float, float]:
+        """(virtual_gain, drift_regressor, input_gain) at the lifted state z.
 
-    def frame_of(self, z: Sequence[float]) -> CoordinateFrame:
-        return unlift(z, self.safe_set, self.family)
-
-    def virtual_gain(self, zn1: float) -> float:
-        """Gain from the squashed second state to the z1 rate; nonzero."""
-        fam1, _ = self.families
-        c1 = fam1.squash(zn1)
-        val = fam1.unsquash_deriv(c1) * self.plant.g1(self.safe_set.x1_max * c1) \
-            * self.safe_set.x2_max
-        if val == 0.0 or not math.isfinite(val):
-            raise SingularityDetected(f"virtual gain {val!r} at zn1={zn1}")
-        return val
+        Raises SingularityDetected where either gain is zero or non-finite,
+        or the regressor is non-finite.
+        """
+        return self._fields_at(unlift(z, self.safe_set, self.family))
 
     def _fields_at(self, frame: CoordinateFrame) -> tuple[float, float, float]:
-        """(virtual_gain, drift_regressor, input_gain) reusing a frame."""
-        fam1, fam2 = self.families
+        fam1, fam2 = family_pair(self.family)
         x1, x2 = frame.x
         c1, c2 = frame.xn
         vgain = fam1.unsquash_deriv(c1) * self.plant.g1(x1) * self.safe_set.x2_max
@@ -84,24 +72,6 @@ class LiftedDynamics:
             raise SingularityDetected(f"lifted drift regressor {regressor!r} at ({x1}, {x2})")
         return vgain, regressor, igain
 
-    def z1_rate(self, z1: float, z2: float) -> float:
-        """Time derivative of z1; vanishes exactly at z2 = 0."""
-        frame = self.frame_of((z1, z2))
-        vgain, _, _ = self._fields_at(frame)
-        return vgain * frame.xn[1]
-
-    def drift_regressor(self, z1: float, z2: float) -> float:
-        """Known factor multiplying the unknown drift parameter in the z2 rate."""
-        frame = self.frame_of((z1, z2))
-        _, regressor, _ = self._fields_at(frame)
-        return regressor
-
-    def input_gain(self, z1: float, z2: float) -> float:
-        """Known factor multiplying u * theta2 in the z2 rate; nonzero."""
-        frame = self.frame_of((z1, z2))
-        _, _, igain = self._fields_at(frame)
-        return igain
-
     def rhs(self, z: Sequence[float], u: float) -> tuple[float, float]:
         """z-coordinate state derivative using the hidden true parameters.
 
@@ -114,84 +84,7 @@ class LiftedDynamics:
             raise InvalidParams(
                 "rhs needs a truth-backed plant with theta1/theta2; got the "
                 "controller-facing view") from None
-        frame = self.frame_of(z)
+        frame = unlift(z, self.safe_set, self.family)
         vgain, regressor, igain = self._fields_at(frame)
         return (vgain * frame.xn[1],
                 regressor * th1 + igain * u * th2)
-
-
-@dataclass
-class LiftedRun:
-    """Closed-loop trajectory integrated in z coordinates."""
-
-    t: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    p2_hat: np.ndarray
-    theta1_hat: np.ndarray
-
-
-def run_lifted(cfg) -> LiftedRun:
-    """Integrate the closed loop entirely in z coordinates.
-
-    Takes the same configuration object as the x-coordinate simulator and
-    applies the same control and adaptation laws, but advances (z1, z2)
-    with the lifted vector field and recovers x by unlifting. Agreement of
-    the two routes validates the whole coordinate-change algebra end to end.
-    """
-    from .controller import EstimatorState, _signals
-
-    dyn = LiftedDynamics(plant=cfg.plant, safe_set=cfg.safe_set, family=cfg.family)
-    fam1, fam2 = dyn.families
-    xb1, xb2 = cfg.safe_set.bounds
-    th1, th2 = cfg.plant.theta1, cfg.plant.theta2
-    gains, ref = cfg.gains, cfg.reference
-    psign = cfg.p2_law_sign
-
-    def rates(z1, z2, p2h, th1h):
-        frame = unlift((z1, z2), cfg.safe_set, cfg.family)
-        fields = dyn._fields_at(frame)
-        sig = _signals(dyn, frame, ref, gains, EstimatorState(p2h, th1h), psign,
-                       fields=fields)
-        vgain, regressor, igain = fields
-        return (vgain * frame.xn[1],
-                regressor * th1 + igain * sig.u * th2,
-                sig.dp2_hat,
-                sig.dtheta1_hat)
-
-    n = cfg.n_steps
-    dt = cfg.dt
-    x10, x20 = cfg.x0
-    z0 = (xb1 * fam1.unsquash(x10 / xb1), xb2 * fam2.unsquash(x20 / xb2))
-    state = (z0[0], z0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
-
-    ts = np.empty(n + 1)
-    cols = np.empty((4, n + 1))
-    for i in range(n + 1):
-        ts[i] = i * dt
-        cols[0][i], cols[1][i], cols[2][i], cols[3][i] = state
-        if i == n:
-            break
-        a = rates(*state)
-        h = 0.5 * dt
-        s1 = (state[0] + h * a[0], state[1] + h * a[1],
-              state[2] + h * a[2], state[3] + h * a[3])
-        b = rates(*s1)
-        s2 = (state[0] + h * b[0], state[1] + h * b[1],
-              state[2] + h * b[2], state[3] + h * b[3])
-        c = rates(*s2)
-        s3 = (state[0] + dt * c[0], state[1] + dt * c[1],
-              state[2] + dt * c[2], state[3] + dt * c[3])
-        d = rates(*s3)
-        w = dt / 6.0
-        state = (state[0] + w * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
-                 state[1] + w * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
-                 state[2] + w * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]),
-                 state[3] + w * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]))
-
-    x1 = np.array([xb1 * fam1.squash(v / xb1) for v in cols[0]])
-    x2 = np.array([xb2 * fam2.squash(v / xb2) for v in cols[1]])
-    return LiftedRun(t=ts, z1=cols[0].copy(), z2=cols[1].copy(), x1=x1, x2=x2,
-                     p2_hat=cols[2].copy(), theta1_hat=cols[3].copy())

@@ -27,10 +27,42 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import EstimatorState, Reference, ControllerGains, _signals
+from .controller import EstimatorState, Reference, ControllerGains, evaluate
 from .lifted_dynamics import LiftedDynamics
 from .lifting import CoordinateFrame, family_pair, lift
 from .errors import InvalidParams
+
+
+def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
+    """Compile V into v(x2, p2_hat, theta1_hat, e1).
+
+    Both lyapunov and the simulator's logged V column evaluate this one
+    function. dyn must be truth-backed (its plant carries theta1/theta2).
+    The drift-estimate term is centred on theta1 / x2_max, the target the
+    adaptation law actually converges around; with that centring the
+    analytic decrease law holds for any box size.
+    """
+    try:
+        th1, th2 = dyn.plant.theta1, dyn.plant.theta2
+    except AttributeError:
+        raise InvalidParams(
+            "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
+            "got the controller-facing view") from None
+    xb2 = dyn.safe_set.x2_max
+    _, fam2 = family_pair(dyn.family)
+    un2, vcal2 = fam2.unsquash, fam2.squash_integral
+    p2 = 1.0 / th2
+    ath2 = abs(th2)
+    th1e = th1 / xb2
+    gam, alp = gains.gamma, gains.alpha
+
+    def v(x2, p2h, th1h, e1):
+        dp = p2h - p2
+        dth = th1e - th1h
+        return (0.5 * e1 * e1 + vcal2(un2(x2 / xb2))
+                + 0.5 / gam * ath2 * dp * dp + 0.5 / alp * dth * dth)
+
+    return v
 
 
 def lyapunov(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
@@ -40,28 +72,15 @@ def lyapunov(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
     dyn must be truth-backed (its plant carries theta1/theta2);
     nonnegative, and zero exactly at the equilibrium with exact estimates.
     """
-    plant = dyn.plant
-    try:
-        th1, th2 = plant.theta1, plant.theta2
-    except AttributeError:
-        raise InvalidParams(
-            "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
-            "got the controller-facing view") from None
-    _, fam2 = family_pair(dyn.family)
-    xb2 = dyn.safe_set.x2_max
-    e1 = frame.z[0] - ref.z1d
-    dp = est.p2_hat - 1.0 / th2
-    dth = th1 / xb2 - est.theta1_hat
-    return (0.5 * e1 * e1 + fam2.squash_integral(frame.zn[1])
-            + 0.5 / gains.gamma * abs(th2) * dp * dp
-            + 0.5 / gains.alpha * dth * dth)
+    return lyapunov_fn(dyn, gains)(frame.x[1], est.p2_hat, est.theta1_hat,
+                                   frame.z[0] - ref.z1d)
 
 
 def vdot_analytic(e1: float, e2: float, gains: ControllerGains) -> float:
     """Closed-form Lyapunov rate under the design coupling k2 = 1/k1.
 
     Equals -(sqrt(k1) e1 - sqrt(k2) e2)^2, hence never positive, and zero
-    exactly on the k1 e1 = e2 locus.
+    exactly on the k1 e1 = e2 locus. e1 and e2 may be scalars or arrays.
     """
     r = math.sqrt(gains.k1) * e1 - math.sqrt(gains.k2) * e2
     return -r * r
@@ -207,7 +226,7 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     frame = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family)
     est = EstimatorState(p2_hat=float(traj.p2_hat[-1]),
                          theta1_hat=float(traj.theta1_hat[-1]))
-    sig = _signals(dyn, frame, cfg.reference, cfg.gains, est, cfg.p2_law_sign)
+    sig = evaluate(dyn, frame, cfg.reference, cfg.gains, est, cfg.p2_law_sign)
     dz1, dz2 = dyn.rhs(frame.z, sig.u)
     residual = max(abs(dz1), abs(dz2), abs(sig.dp2_hat), abs(sig.dtheta1_hat))
 

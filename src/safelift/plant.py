@@ -42,6 +42,10 @@ class PlantShape:
     g2: StateFn
     theta2_sign: float
 
+    def control_view(self) -> "PlantShape":
+        """Already the controller-facing view."""
+        return self
+
 
 @dataclass(frozen=True)
 class PlantDef:

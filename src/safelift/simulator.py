@@ -2,8 +2,14 @@
 
 The integrated state is (x1, x2, p2_hat, theta1_hat): the plant in its
 original coordinates plus the two parameter estimates, advanced together
-as one ODE. Controller and estimator rates are re-evaluated at every RK4
-stage from that stage's state.
+as one ODE. Every RK4 stage evaluates the controller's compiled law, which
+is built from the plant's control view and returns the rates in regressor
+form; _rk4 alone combines them with the true parameters,
+x2' = theta1 * phi + theta2 * psi.
+
+run_lifted integrates the same closed loop with the lifted (z1, z2) as the
+state, through the same law and the same _rk4, and recovers x by unlifting.
+Agreement of the two routes checks the coordinate-change algebra.
 
 Every stage state must stay strictly inside the safe-set guard band; a
 stage that leaves it aborts the step (the state is never clamped, since a
@@ -23,11 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import ControllerGains, EstimatorState, Reference
+from .controller import ControllerGains, EstimatorState, Reference, compile_law
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
 from .lifted_dynamics import LiftedDynamics
-from .lifting import EPS_DOMAIN, SafeSet, FamilySpec, family_pair, tanh_family
+from .lifting import (EPS_DOMAIN, SafeSet, FamilySpec, family_pair, lift,
+                      tanh_family, unlift)
+from .monitor import lyapunov_fn, vdot_analytic
 from .plant import PlantDef
 
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
@@ -92,11 +100,6 @@ class SimConfig:
         """Truth-backed lifted dynamics (for simulation and monitoring)."""
         return LiftedDynamics(plant=self.plant, safe_set=self.safe_set,
                               family=self.family)
-
-    def control_dynamics(self) -> LiftedDynamics:
-        """Lifted dynamics over the controller-facing plant view only."""
-        return LiftedDynamics(plant=self.plant.control_view(),
-                              safe_set=self.safe_set, family=self.family)
 
     def with_sign(self, p2_law_sign: float) -> "SimConfig":
         return replace(self, p2_law_sign=float(p2_law_sign))
@@ -168,108 +171,38 @@ def write_csv(path, header: str, cols) -> None:
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _make_stage_fn(cfg: SimConfig):
-    """Compile the augmented right-hand side into one flat closure.
+def _compiled(cfg: SimConfig):
+    """(law, theta): the law over the plant's control view, and the true
+    parameters that only _rk4 sees."""
+    law = compile_law(cfg.plant.control_view(), cfg.safe_set, cfg.family,
+                      cfg.gains, cfg.reference, cfg.p2_law_sign)
+    return law, (cfg.plant.theta1, cfg.plant.theta2)
 
-    Returns stage(x1, x2, p2h, th1h) -> (dx1, dx2, dp2h, dth1h, e1, e2, u).
-    This is the hot path; it mirrors controller.evaluate plus the plant
-    derivative exactly (asserted against them in the test suite) while
-    avoiding per-stage frame objects.
+
+def _rk4(stage, theta, state, dt, a=None):
+    """One classical RK4 step of a stage in regressor form.
+
+    stage(s1, s2, p2h, th1h) returns (s1', phi, psi, p2h', th1h', ...), and
+    s2' = theta1 * phi + theta2 * psi is formed here. a, if given, is
+    stage(*state) already computed.
     """
-    plant = cfg.plant
-    g1, f2, g2 = plant.g1, plant.f2, plant.g2
-    th1, th2 = plant.theta1, plant.theta2
-    fam1, fam2 = family_pair(cfg.family)
-    un1 = fam1.unsquash
-    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
-    xb1, xb2 = cfg.safe_set.bounds
-    lim1 = xb1 * (1.0 - EPS_DOMAIN)
-    lim2 = xb2 * (1.0 - EPS_DOMAIN)
-    k1 = cfg.gains.k1
-    k2 = cfg.gains.k2
-    gam, alp = cfg.gains.gamma, cfg.gains.alpha
-    sgn = cfg.gains.theta2_sign
-    z1d = cfg.reference.z1d
-    psign = cfg.p2_law_sign
-    isfinite = math.isfinite
-
-    def stage(x1, x2, p2h, th1h):
-        if not (isfinite(x1) and isfinite(x2) and isfinite(p2h) and isfinite(th1h)):
-            raise NonFiniteInput(
-                f"non-finite stage state ({x1}, {x2}, p2_hat={p2h}, theta1_hat={th1h})")
-        if not (-lim1 < x1 < lim1 and -lim2 < x2 < lim2):
-            raise DomainViolation(
-                f"stage state ({x1}, {x2}) at or beyond the constraint guard band")
-        c1 = x1 / xb1
-        c2 = x2 / xb2
-        e1 = xb1 * un1(c1) - z1d
-        g1v = g1(x1)
-        vgain = dun1(c1) * g1v * xb2
-        if vgain == 0.0 or not isfinite(vgain):
-            raise SingularityDetected(f"virtual gain {vgain!r} at x1={x1}")
-        e2 = vgain * c2 + k1 * e1
-        d2 = dun2(c2)
-        f2v = f2(x1, x2)
-        g2v = g2(x1, x2)
-        igain = d2 * g2v
-        if igain == 0.0 or not isfinite(igain):
-            raise SingularityDetected(f"lifted input gain {igain!r} at ({x1}, {x2})")
-        inner = (d2 * f2v) * th1h + vgain * k2 * e2
-        u = -xb2 * p2h * inner / igain
-        if not isfinite(u):
-            raise NonFiniteInput(f"control input overflowed to {u!r}")
-        return (g1v * x2,
-                f2v * th1 + g2v * u * th2,
-                psign * gam * sgn * c2 * inner,
-                alp * c2 * (d2 * f2v),
-                e1, e2, u)
-
-    return stage
-
-
-def _make_v_fn(cfg: SimConfig):
-    """Lyapunov value at a state, using the hidden true parameters.
-
-    V = e1^2 / 2 + squash_integral(zn2)
-        + |theta2| (p2_hat - 1/theta2)^2 / (2 gamma)
-        + (theta1 / x2_max - theta1_hat)^2 / (2 alpha)
-
-    The drift-estimate term is centred on theta1 / x2_max, the target the
-    adaptation law actually converges around; with that centring the
-    analytic decrease law holds for any box size.
-    """
-    xb2 = cfg.safe_set.x2_max
-    _, fam2 = family_pair(cfg.family)
-    un2, vcal2 = fam2.unsquash, fam2.squash_integral
-    th2 = cfg.plant.theta2
-    p2 = 1.0 / th2
-    ath2 = abs(th2)
-    th1e = cfg.plant.theta1 / xb2
-    gam, alp = cfg.gains.gamma, cfg.gains.alpha
-
-    def v(x2, p2h, th1h, e1):
-        dp = p2h - p2
-        dth = th1e - th1h
-        return (0.5 * e1 * e1 + vcal2(un2(x2 / xb2))
-                + 0.5 / gam * ath2 * dp * dp + 0.5 / alp * dth * dth)
-
-    return v
-
-
-def _rk4(stage, state, dt, a=None):
-    """One classical RK4 step; a, if given, is stage(*state) already computed."""
-    x1, x2, p2h, th1h = state
+    th1, th2 = theta
+    s1, s2, p2h, th1h = state
     if a is None:
-        a = stage(x1, x2, p2h, th1h)
+        a = stage(s1, s2, p2h, th1h)
     h = 0.5 * dt
-    b = stage(x1 + h * a[0], x2 + h * a[1], p2h + h * a[2], th1h + h * a[3])
-    c = stage(x1 + h * b[0], x2 + h * b[1], p2h + h * b[2], th1h + h * b[3])
-    d = stage(x1 + dt * c[0], x2 + dt * c[1], p2h + dt * c[2], th1h + dt * c[3])
+    a2 = th1 * a[1] + th2 * a[2]
+    b = stage(s1 + h * a[0], s2 + h * a2, p2h + h * a[3], th1h + h * a[4])
+    b2 = th1 * b[1] + th2 * b[2]
+    c = stage(s1 + h * b[0], s2 + h * b2, p2h + h * b[3], th1h + h * b[4])
+    c2 = th1 * c[1] + th2 * c[2]
+    d = stage(s1 + dt * c[0], s2 + dt * c2, p2h + dt * c[3], th1h + dt * c[4])
+    d2 = th1 * d[1] + th2 * d[2]
     w = dt / 6.0
-    return (x1 + w * (a[0] + 2.0 * (b[0] + c[0]) + d[0]),
-            x2 + w * (a[1] + 2.0 * (b[1] + c[1]) + d[1]),
-            p2h + w * (a[2] + 2.0 * (b[2] + c[2]) + d[2]),
-            th1h + w * (a[3] + 2.0 * (b[3] + c[3]) + d[3]))
+    return (s1 + w * (a[0] + 2.0 * (b[0] + c[0]) + d[0]),
+            s2 + w * (a2 + 2.0 * (b2 + c2) + d2),
+            p2h + w * (a[3] + 2.0 * (b[3] + c[3]) + d[3]),
+            th1h + w * (a[4] + 2.0 * (b[4] + c[4]) + d[4]))
 
 
 def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
@@ -280,10 +213,10 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     time) if any stage leaves the guard band, hits a singular gain, or sees
     a non-finite value.
     """
-    stage = _make_stage_fn(cfg)
+    law, theta = _compiled(cfg)
     try:
-        x1, x2, p2h, th1h = _rk4(stage, (state[0], state[1], est.p2_hat,
-                                         est.theta1_hat), cfg.dt)
+        x1, x2, p2h, th1h = _rk4(law, theta, (state[0], state[1], est.p2_hat,
+                                              est.theta1_hat), cfg.dt)
     except _STAGE_ERRORS as exc:
         raise StepRejected(t, exc) from exc
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
@@ -296,16 +229,14 @@ def run(cfg: SimConfig) -> Trajectory:
     -(sqrt(k1) e1 - sqrt(k2) e2)^2 and a numeric rate obtained by
     differentiating the logged V, so the monitor can compare them.
     """
-    stage = _make_stage_fn(cfg)
-    vfun = _make_v_fn(cfg)
+    law, theta = _compiled(cfg)
+    vfun = lyapunov_fn(cfg.dynamics(), cfg.gains)
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
-    sqrt_k1 = math.sqrt(cfg.gains.k1)
-    sqrt_k2 = math.sqrt(cfg.gains.k2)
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
-    cols = np.empty((10, n_log))
+    cols = np.empty((9, n_log))
     state = (cfg.x0[0], cfg.x0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
     failure = None
     j = 0
@@ -314,28 +245,26 @@ def run(cfg: SimConfig) -> Trajectory:
         if i % stride == 0 or i == n:
             x1, x2, p2h, th1h = state
             try:
-                out = stage(x1, x2, p2h, th1h)
+                out = law(x1, x2, p2h, th1h)
             except _STAGE_ERRORS as exc:
                 failure = RunFailure(time=i * dt, kind=type(exc).__name__,
                                      message=str(exc))
                 break
-            e1, e2, u = out[4], out[5], out[6]
-            r = sqrt_k1 * e1 - sqrt_k2 * e2
+            e1 = out[5]
             cols[0][j] = i * dt
             cols[1][j] = x1
             cols[2][j] = x2
             cols[3][j] = p2h
             cols[4][j] = th1h
             cols[5][j] = e1
-            cols[6][j] = e2
-            cols[7][j] = u
+            cols[6][j] = out[6]
+            cols[7][j] = out[7]
             cols[8][j] = vfun(x2, p2h, th1h, e1)
-            cols[9][j] = -r * r
             j += 1
         if i == n:
             break
         try:
-            state = _rk4(stage, state, dt, a=out)
+            state = _rk4(law, theta, state, dt, a=out)
         except _STAGE_ERRORS as exc:
             failure = RunFailure(time=i * dt, kind=type(exc).__name__,
                                  message=str(exc))
@@ -360,6 +289,56 @@ def run(cfg: SimConfig) -> Trajectory:
         z1=xb1 * zn1, z2=xb2 * zn2, zn1=zn1, zn2=zn2,
         e1=cols[5], e2=cols[6], u=cols[7],
         p2_hat=cols[3], theta1_hat=cols[4],
-        v=cols[8], vdot_analytic=cols[9], vdot_numeric=vdot_num,
+        v=cols[8], vdot_analytic=vdot_analytic(cols[5], cols[6], cfg.gains),
+        vdot_numeric=vdot_num,
         in_safe_set=(np.abs(cols[1]) < xb1) & (np.abs(cols[2]) < xb2),
         completed=failure is None, failure=failure)
+
+
+@dataclass
+class LiftedRun:
+    """Closed-loop trajectory integrated in z coordinates."""
+
+    t: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    p2_hat: np.ndarray
+    theta1_hat: np.ndarray
+
+
+def run_lifted(cfg: SimConfig) -> LiftedRun:
+    """Integrate the closed loop with (z1, z2, p2_hat, theta1_hat) as the state.
+
+    Each stage unlifts z, evaluates the law at that x, and carries the rates
+    over by the chain rule z_i' = unsquash_deriv(xn_i) x_i', which keeps the
+    regressor form for _rk4. The logged x comes from unlift. A stage inside
+    the guard band or with a non-finite value raises StepRejected with the
+    time of the step, as step does: a z that only maps into the box because
+    the squash rounds to the boundary is a divergence, not a safe state.
+    """
+    law, theta = _compiled(cfg)
+    ss, fam = cfg.safe_set, cfg.family
+    fam1, fam2 = family_pair(fam)
+    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
+
+    def stage(z1, z2, p2h, th1h):
+        frame = unlift((z1, z2), ss, fam)
+        out = law(frame.x[0], frame.x[1], p2h, th1h)
+        d1, d2 = dun1(frame.xn[0]), dun2(frame.xn[1])
+        return (d1 * out[0], d2 * out[1], d2 * out[2], out[3], out[4])
+
+    n, dt = cfg.n_steps, cfg.dt
+    state = (*lift(cfg.x0, ss, fam).z, cfg.est0.p2_hat, cfg.est0.theta1_hat)
+    cols = np.empty((4, n + 1))
+    cols[:, 0] = state
+    for i in range(n):
+        try:
+            state = _rk4(stage, theta, state, dt)
+        except _STAGE_ERRORS as exc:
+            raise StepRejected(i * dt, exc) from exc
+        cols[:, i + 1] = state
+    x = np.array([unlift(z, ss, fam).x for z in zip(cols[0], cols[1])])
+    return LiftedRun(t=np.arange(n + 1) * dt, z1=cols[0], z2=cols[1],
+                     x1=x[:, 0], x2=x[:, 1], p2_hat=cols[2], theta1_hat=cols[3])

@@ -108,16 +108,14 @@ class TestAcceptance:
         start = time.perf_counter()
         ok = True
         for i in range(n):
-            if bench_dyn.z1_rate(z1s[i], 0.0) != 0.0:
+            if bench_dyn.rhs((z1s[i], 0.0), 0.0)[0] != 0.0:
                 ok = False
                 break
-            if bench_dyn.drift_regressor(z1s[i], 0.0) != 0.0:
+            if bench_dyn.fields((z1s[i], 0.0))[1] != 0.0:
                 ok = False
                 break
-            if bench_dyn.input_gain(z1s[i], z2s[i]) == 0.0:
-                ok = False
-                break
-            if bench_dyn.virtual_gain(z1s[i] / bench_dyn.safe_set.x1_max) == 0.0:
+            vgain, _, igain = bench_dyn.fields((z1s[i], z2s[i]))
+            if igain == 0.0 or vgain == 0.0:
                 ok = False
                 break
         dz1, dz2 = bench_dyn.rhs((ref.z1d, 0.0), 0.0)

@@ -12,6 +12,7 @@ import pytest
 import safelift as sl
 from safelift import controller as controller_module
 from safelift.errors import InvalidParams, NonFiniteInput
+from safelift.simulator import _compiled, _rk4
 
 # Frozen reference values for the benchmark scenario at t = 0
 # (x = (0, 0.9), target -1.9, box (2, 1), unit gains, estimates (1, 0)),
@@ -37,6 +38,10 @@ def cdyn(motor, box, tanh_fam):
 @pytest.fixture(scope="module")
 def t0_frame(box, tanh_fam):
     return sl.lift((0.0, 0.9), box, tanh_fam)
+
+
+# The errors do not depend on the estimates; any finite pair will do.
+ANY_EST = sl.EstimatorState(1.0, 0.0)
 
 
 class TestControllerGains:
@@ -75,31 +80,29 @@ class TestTrackingErrors:
     def test_equilibrium(self, cdyn, box, tanh_fam, gains):
         ref = sl.Reference.for_target(-1.9, box, tanh_fam)
         frame = sl.lift((-1.9, 0.0), box, tanh_fam)
-        e1, e2 = sl.tracking_errors(cdyn, frame, ref, gains)
-        assert abs(e1) < 1e-12
-        assert abs(e2) < 1e-12
+        sig = sl.evaluate(cdyn, frame, ref, gains, ANY_EST)
+        assert abs(sig.e1) < 1e-12
+        assert abs(sig.e2) < 1e-12
 
     def test_benchmark_start(self, cdyn, t0_frame, ref, gains):
-        e1, e2 = sl.tracking_errors(cdyn, t0_frame, ref, gains)
-        assert e1 == pytest.approx(E1_T0, rel=1e-14)
-        assert e2 == pytest.approx(E2_T0, rel=1e-14)
+        sig = sl.evaluate(cdyn, t0_frame, ref, gains, ANY_EST)
+        assert sig.e1 == pytest.approx(E1_T0, rel=1e-14)
+        assert sig.e2 == pytest.approx(E2_T0, rel=1e-14)
 
     def test_second_error_zeroed_by_matching_speed(self, cdyn, box, tanh_fam, gains, ref):
         # Pick x2 so the virtual-control term cancels k1 e1 exactly.
         frame0 = sl.lift((-1.7, 0.0), box, tanh_fam)
-        e1, _ = sl.tracking_errors(cdyn, frame0, ref, gains)
-        vgain = cdyn.virtual_gain(frame0.zn[0])
+        e1 = sl.evaluate(cdyn, frame0, ref, gains, ANY_EST).e1
+        vgain = cdyn.fields(frame0.z)[0]
         x2 = box.x2_max * (-gains.k1 * e1 / vgain)
         assert abs(x2) < box.x2_max
         frame = sl.lift((-1.7, x2), box, tanh_fam)
-        _, e2 = sl.tracking_errors(cdyn, frame, ref, gains)
-        assert abs(e2) < 1e-12
+        assert abs(sl.evaluate(cdyn, frame, ref, gains, ANY_EST).e2) < 1e-12
 
 
 class TestControlInput:
     def test_benchmark_start(self, cdyn, t0_frame, ref, gains):
-        u = sl.control_input(cdyn, t0_frame, ref, gains,
-                             sl.EstimatorState(1.0, 0.0))
+        u = sl.evaluate(cdyn, t0_frame, ref, gains, sl.EstimatorState(1.0, 0.0)).u
         assert u == pytest.approx(U_T0, rel=1e-14)
 
     def test_zero_estimate_kills_input(self, cdyn, box, tanh_fam, ref, gains):
@@ -108,12 +111,12 @@ class TestControlInput:
             frame = sl.lift((rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95)),
                             box, tanh_fam)
             est = sl.EstimatorState(0.0, rng.uniform(-5, 5))
-            assert sl.control_input(cdyn, frame, ref, gains, est) == 0.0
+            assert sl.evaluate(cdyn, frame, ref, gains, est).u == 0.0
 
     def test_zero_at_equilibrium(self, cdyn, box, tanh_fam, ref, gains):
         frame = sl.lift((-1.9, 0.0), box, tanh_fam)
         est = sl.EstimatorState(3.7, -12.0)
-        assert abs(sl.control_input(cdyn, frame, ref, gains, est)) < 1e-12
+        assert abs(sl.evaluate(cdyn, frame, ref, gains, est).u) < 1e-12
 
     def test_matches_hyperbolic_closed_form(self, cdyn, box, tanh_fam, ref, gains):
         # For the motor (g1 = g2 = 1, f2 = x2) with the tanh family and
@@ -133,33 +136,32 @@ class TestControlInput:
             closed = (-xb2 / math.cosh(zn2) ** 2 * est.p2_hat
                       * (math.cosh(zn2) ** 2 * math.tanh(zn2) * est.theta1_hat
                          + xb2 * math.cosh(zn1) ** 2 / gains.k1 * e2))
-            u = sl.control_input(cdyn, frame, ref, gains, est)
+            u = sl.evaluate(cdyn, frame, ref, gains, est).u
             assert u == pytest.approx(closed, abs=1e-10 * max(1.0, abs(closed)))
 
     def test_non_finite_estimates_rejected(self, cdyn, t0_frame, ref, gains):
         with pytest.raises(NonFiniteInput):
-            sl.control_input(cdyn, t0_frame, ref, gains,
-                             sl.EstimatorState(math.nan, 0.0))
+            sl.evaluate(cdyn, t0_frame, ref, gains, sl.EstimatorState(math.nan, 0.0))
 
 
 class TestAdaptationRates:
     def test_zero_speed_freezes_both(self, cdyn, box, tanh_fam, ref, gains):
         frame = sl.lift((0.7, 0.0), box, tanh_fam)
         est = sl.EstimatorState(2.0, -3.0)
-        assert sl.adaptation_rates(cdyn, frame, ref, gains, est) == (0.0, 0.0)
+        sig = sl.evaluate(cdyn, frame, ref, gains, est)
+        assert (sig.dp2_hat, sig.dtheta1_hat) == (0.0, 0.0)
 
     def test_benchmark_start(self, cdyn, t0_frame, ref, gains):
         est = sl.EstimatorState(1.0, 0.0)
-        dp2, dth1 = sl.adaptation_rates(cdyn, t0_frame, ref, gains, est)
-        assert dp2 == pytest.approx(DP2_T0, rel=1e-14)
-        assert dth1 == pytest.approx(DTH1_T0, rel=1e-14)
+        sig = sl.evaluate(cdyn, t0_frame, ref, gains, est)
+        assert sig.dp2_hat == pytest.approx(DP2_T0, rel=1e-14)
+        assert sig.dtheta1_hat == pytest.approx(DTH1_T0, rel=1e-14)
 
     def test_sign_switch_flips_p2_rate_only(self, cdyn, t0_frame, ref, gains):
         est = sl.EstimatorState(1.0, 0.0)
-        dp2, dth1 = sl.adaptation_rates(cdyn, t0_frame, ref, gains, est,
-                                        p2_law_sign=-1.0)
-        assert dp2 == pytest.approx(-DP2_T0, rel=1e-14)
-        assert dth1 == pytest.approx(DTH1_T0, rel=1e-14)
+        sig = sl.evaluate(cdyn, t0_frame, ref, gains, est, p2_law_sign=-1.0)
+        assert sig.dp2_hat == pytest.approx(-DP2_T0, rel=1e-14)
+        assert sig.dtheta1_hat == pytest.approx(DTH1_T0, rel=1e-14)
 
     def test_theta1_rate_matches_hyperbolic_form(self, cdyn, box, tanh_fam, ref, gains):
         # alpha tanh^2(zn2) cosh^2(zn2) for the motor with x2_max = 1.
@@ -168,7 +170,7 @@ class TestAdaptationRates:
             frame = sl.lift((rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95)),
                             box, tanh_fam)
             est = sl.EstimatorState(1.0, 0.0)
-            _, dth1 = sl.adaptation_rates(cdyn, frame, ref, gains, est)
+            dth1 = sl.evaluate(cdyn, frame, ref, gains, est).dtheta1_hat
             zn2 = frame.zn[1]
             closed = gains.alpha * math.tanh(zn2) ** 2 * math.cosh(zn2) ** 2
             assert dth1 == pytest.approx(closed, abs=1e-10 * max(1.0, abs(closed)))
@@ -191,6 +193,33 @@ class TestParameterFirewall:
         assert not hasattr(cdyn.plant, "theta1")
         sig = sl.evaluate(cdyn, t0_frame, ref, gains, sl.EstimatorState(1.0, 0.0))
         assert math.isfinite(sig.u)
+
+    def test_law_compiles_from_bare_shape_and_matches_run(self, bench_cfg, motor):
+        # A PlantShape built by hand has nothing to leak: the law compiled
+        # from it gives the same finite rates as run's hot path, and one
+        # RK4 step with it reproduces run's first logged step.
+        cfg = bench_cfg()
+        shape = sl.PlantShape(g1=motor.g1, f2=motor.f2, g2=motor.g2,
+                              theta2_sign=motor.theta2_sign)
+        assert not hasattr(shape, "theta1") and not hasattr(shape, "theta2")
+        law = sl.compile_law(shape, cfg.safe_set, cfg.family, cfg.gains,
+                             cfg.reference, cfg.p2_law_sign)
+        hot, theta = _compiled(cfg)
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            s = (rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95),
+                 rng.uniform(-3, 3), rng.uniform(-12, 12))
+            out = law(*s)
+            assert all(math.isfinite(v) for v in out)
+            assert out == hot(*s)
+        s0 = (*cfg.x0, cfg.est0.p2_hat, cfg.est0.theta1_hat)
+        traj = sl.run(bench_cfg(t_final=0.01))
+        assert _rk4(law, theta, s0, cfg.dt) == (
+            traj.x1[1], traj.x2[1], traj.p2_hat[1], traj.theta1_hat[1])
+
+    def test_law_refuses_truth_backed_plant(self, motor, box, tanh_fam, ref, gains):
+        with pytest.raises(InvalidParams, match="PlantShape"):
+            sl.compile_law(motor, box, tanh_fam, gains, ref)
 
     def test_source_never_names_true_parameters(self):
         # Token-level audit of the executable source (docstrings and
@@ -237,7 +266,7 @@ class TestCertaintyEquivalence:
 
         def xdot(xs):
             frame = sl.lift(xs, box, tanh_fam)
-            u = sl.control_input(dyn, frame, ref, gains, exact)
+            u = sl.evaluate(dyn, frame, ref, gains, exact).u
             return sl.plant_rhs(motor, xs, u)
 
         for _ in range(500):

@@ -1,12 +1,16 @@
 """Lifted vector fields: values, structural zeros, and the pushforward oracle."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import safelift as sl
-from safelift.errors import InvalidParams, SingularityDetected
+from safelift.errors import InvalidParams, SingularityDetected, StepRejected
+
+REPO = Path(__file__).resolve().parent.parent
 
 ATANH_HALF = 0.549306144334054846
 ATANH_09 = 1.472219489583220230
@@ -21,61 +25,67 @@ def dyn(motor, box, tanh_fam):
     return sl.LiftedDynamics(plant=motor, safe_set=box, family=tanh_fam)
 
 
+def virtual_gain(dyn, zn1):
+    """The virtual gain depends on zn1 alone; read it off fields at z2 = 0."""
+    return dyn.fields((dyn.safe_set.x1_max * zn1, 0.0))[0]
+
+
 class TestVirtualGain:
     def test_center_value(self, dyn):
-        assert dyn.virtual_gain(0.0) == 1.0
+        assert virtual_gain(dyn, 0.0) == 1.0
 
     def test_reference_value(self, dyn):
-        assert dyn.virtual_gain(ATANH_HALF) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert virtual_gain(dyn, ATANH_HALF) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_positive_for_positive_g1(self, dyn):
         rng = np.random.default_rng(11)
         for zn1 in rng.uniform(-6.0, 6.0, size=300):
-            assert dyn.virtual_gain(zn1) > 0.0
+            assert virtual_gain(dyn, zn1) > 0.0
 
     def test_singularity_raised(self, box, tanh_fam):
         plant = sl.PlantDef(g1=lambda x1: x1, f2=lambda x1, x2: x2,
                             g2=lambda x1, x2: 1.0, theta1=1.0, theta2=1.0)
         bad = sl.LiftedDynamics(plant=plant, safe_set=box, family=tanh_fam)
         with pytest.raises(SingularityDetected):
-            bad.virtual_gain(0.0)
+            virtual_gain(bad, 0.0)
 
 
 class TestStructuralZeros:
     def test_z1_rate_vanishes_at_zero_z2(self, dyn):
         rng = np.random.default_rng(12)
         for z1 in rng.uniform(-8.0, 8.0, size=500):
-            assert dyn.z1_rate(z1, 0.0) == 0.0
+            assert dyn.rhs((z1, 0.0), 0.0)[0] == 0.0
 
     def test_drift_regressor_vanishes_at_zero_z2(self, dyn):
         rng = np.random.default_rng(13)
         for z1 in rng.uniform(-8.0, 8.0, size=500):
-            assert dyn.drift_regressor(z1, 0.0) == 0.0
+            assert dyn.fields((z1, 0.0))[1] == 0.0
 
     def test_gains_nonzero_on_interior(self, dyn):
         rng = np.random.default_rng(14)
         for _ in range(500):
             z1, z2 = rng.uniform(-8.0, 8.0, size=2)
-            assert dyn.input_gain(z1, z2) != 0.0
-            assert dyn.virtual_gain(z1 / dyn.safe_set.x1_max) != 0.0
+            vgain, _, igain = dyn.fields((z1, z2))
+            assert igain != 0.0
+            assert vgain != 0.0
 
 
 class TestFieldValues:
     def test_z1_rate_at_benchmark_speed(self, dyn):
-        assert dyn.z1_rate(0.0, ATANH_09) == pytest.approx(0.9, rel=1e-13)
+        assert dyn.rhs((0.0, ATANH_09), 0.0)[0] == pytest.approx(0.9, rel=1e-13)
 
     def test_z1_rate_sign_tracks_z2(self, dyn):
-        assert dyn.z1_rate(0.3, -1.0) < 0.0
-        assert dyn.z1_rate(0.3, 1.0) > 0.0
+        assert dyn.rhs((0.3, -1.0), 0.0)[0] < 0.0
+        assert dyn.rhs((0.3, 1.0), 0.0)[0] > 0.0
 
     def test_drift_regressor_values(self, dyn):
-        assert dyn.drift_regressor(0.0, ATANH_09) == pytest.approx(
+        assert dyn.fields((0.0, ATANH_09))[1] == pytest.approx(
             REGRESSOR_09, rel=1e-12)
-        assert math.copysign(1.0, dyn.drift_regressor(0.5, -2.0)) == -1.0
+        assert math.copysign(1.0, dyn.fields((0.5, -2.0))[1]) == -1.0
 
     def test_input_gain_values(self, dyn):
-        assert dyn.input_gain(1.7, 0.0) == 1.0
-        assert dyn.input_gain(0.0, ATANH_09) == pytest.approx(IGAIN_09, rel=1e-12)
+        assert dyn.fields((1.7, 0.0))[2] == 1.0
+        assert dyn.fields((0.0, ATANH_09))[2] == pytest.approx(IGAIN_09, rel=1e-12)
 
     def test_unsquash_deriv_after_squash_is_cosh_squared(self, tanh_fam):
         # The tanh-family chain rule factor in the lifted fields equals
@@ -145,3 +155,16 @@ class TestRunLifted:
         # Estimates follow the same adaptation in either coordinate route.
         assert zrun.p2_hat[-1] == pytest.approx(xrun.p2_hat[-1], abs=1e-8)
         assert zrun.theta1_hat[-1] == pytest.approx(xrun.theta1_hat[-1], abs=1e-8)
+
+    def test_divergence_past_the_squash_is_rejected(self):
+        # From x2(0) = 0.999999 under the -1 law, z2 runs off to ~1e66 while
+        # tanh rounds it back onto the box edge. A stage that unlifts onto the
+        # edge sits inside the guard band, so the run must stop, not log
+        # x2 = x2_max.
+        ec = sl.load_config(REPO / "configs" / "dc_motor_fig2.cfg")
+        cfg = dataclasses.replace(ec.sim, x0=(0.0, 0.999999), p2_law_sign=-1.0,
+                                  t_final=10.0)
+        with pytest.raises(StepRejected) as err:
+            sl.run_lifted(cfg)
+        assert err.value.time == 0.0
+        assert isinstance(err.value.cause, sl.DomainViolation)

@@ -8,7 +8,7 @@ import pytest
 
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
-from safelift.simulator import CSV_CHUNK_ROWS, _make_stage_fn, write_csv
+from safelift.simulator import CSV_CHUNK_ROWS, _compiled, write_csv
 
 V0_BENCH = 57.441257570906908
 
@@ -70,26 +70,28 @@ class TestStep:
 
 class TestStageFnMirrorsPublicApi:
     def test_stage_rates_match_composition(self, bench_cfg):
-        # The compiled hot path must agree with lift + evaluate + plant_rhs.
+        # The hot path's law, with theta combined as _rk4 combines it, must
+        # agree with the true plant (plant_rhs) driven by lift + evaluate.
         cfg = bench_cfg()
-        stage = _make_stage_fn(cfg)
+        law, (th1, th2) = _compiled(cfg)
         dyn = cfg.dynamics()
         rng = np.random.default_rng(31)
         for _ in range(300):
             x = (rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95))
             est = sl.EstimatorState(rng.uniform(-3, 3) or 1.0, rng.uniform(-12, 12))
-            out = stage(x[0], x[1], est.p2_hat, est.theta1_hat)
+            out = law(x[0], x[1], est.p2_hat, est.theta1_hat)
             frame = sl.lift(x, cfg.safe_set, cfg.family)
             sig = sl.evaluate(dyn, frame, cfg.reference, cfg.gains, est,
                               cfg.p2_law_sign)
             dx = sl.plant_rhs(cfg.plant, x, sig.u)
             assert out[0] == pytest.approx(dx[0], rel=1e-14, abs=1e-300)
-            assert out[1] == pytest.approx(dx[1], rel=1e-14, abs=1e-300)
-            assert out[2] == pytest.approx(sig.dp2_hat, rel=1e-14, abs=1e-300)
-            assert out[3] == pytest.approx(sig.dtheta1_hat, rel=1e-14, abs=1e-300)
-            assert out[4] == pytest.approx(sig.e1, rel=1e-14)
-            assert out[5] == pytest.approx(sig.e2, rel=1e-14)
-            assert out[6] == pytest.approx(sig.u, rel=1e-14, abs=1e-300)
+            assert th1 * out[1] + th2 * out[2] == pytest.approx(
+                dx[1], rel=1e-14, abs=1e-300)
+            assert out[3] == pytest.approx(sig.dp2_hat, rel=1e-14, abs=1e-300)
+            assert out[4] == pytest.approx(sig.dtheta1_hat, rel=1e-14, abs=1e-300)
+            assert out[5] == pytest.approx(sig.e1, rel=1e-14)
+            assert out[6] == pytest.approx(sig.e2, rel=1e-14)
+            assert out[7] == pytest.approx(sig.u, rel=1e-14, abs=1e-300)
 
 
 class TestRun:
