@@ -13,7 +13,8 @@ aborted simulation, or assumption-check violations).
 `run` writes trace.csv (the full trajectory), cert.txt (the certificate),
 states_input.csv (t, x1, x2, u) and estimation_errors.csv (parameter
 estimation errors against theta1/x2_max and 1/theta2, plain and log10)
-into the output directory, every CSV with 15 significant digits; --svg adds
+into the output directory, every CSV with 15 significant digits and the
+three written in one pass that formats each shared column once; --svg adds
 simple vector plots of both. `sweep` writes one sweep.csv row per
 parameter combination and keeps going past per-row failures.
 """
@@ -31,7 +32,7 @@ from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify
 from .plant import check_assumptions
-from .simulator import run as run_sim, write_csv
+from .simulator import run as run_sim, write_csv, write_csvs
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -43,10 +44,6 @@ def _package_version() -> str:
         return pkg_version("safelift")
     except PackageNotFoundError:
         return "0.1.0+uninstalled"
-
-
-def _write_states_input(path, traj) -> None:
-    write_csv(path, "t,x1,x2,u", (traj.t, traj.x1, traj.x2, traj.u))
 
 
 def _estimation_errors(traj, plant, safe_set):
@@ -62,8 +59,12 @@ def _estimation_errors(traj, plant, safe_set):
             np.log10(np.maximum(th1_err, floor)), np.log10(np.maximum(p2_err, floor)))
 
 
+_ERRORS_HEADER = "t,theta1_err,p2_err,log10_theta1_err,log10_p2_err"
+
+
 def _write_estimation_errors(path, traj, plant, safe_set) -> None:
-    write_csv(path, "t,theta1_err,p2_err,log10_theta1_err,log10_p2_err",
+    """estimation_errors.csv on its own; run writes it with the others."""
+    write_csv(path, _ERRORS_HEADER,
               (traj.t, *_estimation_errors(traj, plant, safe_set)))
 
 
@@ -111,15 +112,17 @@ def _cmd_run(args) -> int:
     traj = run_sim(ec.sim)
     cert = certify(traj, ec.sim, ec.thresholds)
 
-    traj.to_csv(out_dir / "trace.csv")
+    errors = _estimation_errors(traj, ec.sim.plant, ec.sim.safe_set)
+    write_csvs([traj.csv_table(out_dir / "trace.csv"),
+                (out_dir / "states_input.csv", "t,x1,x2,u",
+                 (traj.t, traj.x1, traj.x2, traj.u)),
+                (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
+                 (traj.t, *errors))])
     cert.write(out_dir / "cert.txt")
-    _write_states_input(out_dir / "states_input.csv", traj)
-    _write_estimation_errors(out_dir / "estimation_errors.csv", traj,
-                             ec.sim.plant, ec.sim.safe_set)
     if args.svg:
         _render_svg(out_dir / "states_input.svg", "states and control input",
                     traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
-        _, _, th1_log, p2_log = _estimation_errors(traj, ec.sim.plant, ec.sim.safe_set)
+        _, _, th1_log, p2_log = errors
         _render_svg(out_dir / "estimation_errors.svg",
                     "log10 parameter estimation errors",
                     traj.t, [("log10|theta1 err|", th1_log), ("log10|p2 err|", p2_log)])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import InvalidParams, NonFiniteInput
@@ -73,7 +74,11 @@ class PlantDef:
         return 1.0 if self.theta2 > 0.0 else -1.0
 
     def control_view(self) -> PlantShape:
-        """Everything the controller is allowed to know."""
+        """Everything the controller is allowed to know (one view per plant)."""
+        return self._view
+
+    @cached_property
+    def _view(self) -> PlantShape:
         return PlantShape(g1=self.g1, f2=self.f2, g2=self.g2,
                           theta2_sign=self.theta2_sign)
 

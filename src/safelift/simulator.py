@@ -19,12 +19,18 @@ why they stopped.
 
 The logged Lyapunov value uses the true plant parameters. It is a
 diagnostic for the monitor only and is never fed back to the controller.
+
+write_csvs writes several CSV tables in one chunked pass and formats a
+column array that several tables share once; write_csv and
+Trajectory.to_csv are its one-table case.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -104,6 +110,18 @@ class SimConfig:
     def with_sign(self, p2_law_sign: float) -> "SimConfig":
         return replace(self, p2_law_sign=float(p2_law_sign))
 
+    # Compiled once per config on first use; dataclasses.replace builds a new
+    # config, so a changed field never meets a stale closure.
+    @cached_property
+    def _law(self):
+        return (compile_law(self.plant.control_view(), self.safe_set, self.family,
+                            self.gains, self.reference, self.p2_law_sign),
+                (self.plant.theta1, self.plant.theta2))
+
+    @cached_property
+    def _lyapunov(self):
+        return lyapunov_fn(self.dynamics(), self.gains)
+
 
 @dataclass(frozen=True)
 class RunFailure:
@@ -119,12 +137,8 @@ class Trajectory:
     t: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    xn1: np.ndarray
-    xn2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    zn1: np.ndarray
-    zn2: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     u: np.ndarray
@@ -143,40 +157,99 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    def csv_table(self, path):
+        """(path, header, columns) of the pinned trace schema, for write_csvs."""
+        return (path, self.CSV_HEADER,
+                (self.t, self.x1, self.x2, self.z1, self.z2, self.e1, self.e2,
+                 self.u, self.p2_hat, self.theta1_hat, self.v,
+                 self.vdot_numeric, self.vdot_analytic))
+
     def to_csv(self, path) -> None:
         """Write the pinned trace schema with 15 significant digits."""
-        write_csv(path, self.CSV_HEADER,
-                  (self.t, self.x1, self.x2, self.z1, self.z2, self.e1, self.e2,
-                   self.u, self.p2_hat, self.theta1_hat, self.v,
-                   self.vdot_numeric, self.vdot_analytic))
+        write_csv(*self.csv_table(path))
 
 
-CSV_CHUNK_ROWS = 2048
+# write_csvs keeps one chunk of every table's text alive at once. On
+# `safelift run` (fig2 and certified configs), 2048 rows raised the peak
+# memory by about 1.9 MB over writing the files one by one, 1024 rows by
+# about 0.6 MB at the same speed; 256 rows saved 0.3 MB more but wrote slower.
+CSV_CHUNK_ROWS = 1024
 
 
 def write_csv(path, header: str, cols) -> None:
-    """Write equal-length numeric columns as CSV, 15 significant digits.
+    """Write equal-length numeric columns as CSV, 15 significant digits."""
+    write_csvs([(path, header, cols)])
 
-    Rows are formatted CSV_CHUNK_ROWS at a time with one %-format call per
-    chunk; "%.15g" gives the same text as f"{v:.15g}", so the output is
-    byte-identical to per-cell formatting while memory stays bounded by one
-    chunk rather than the whole table.
+
+def write_csvs(tables) -> None:
+    """Write CSV tables of numeric columns in one chunked pass.
+
+    tables holds (path, header, cols) entries, every column as long as the
+    first. "%.15g" gives the text of f"{v:.15g}", so each file is
+    byte-identical to per-cell formatting. A column array that several
+    tables share is formatted once per chunk: tables are cut into runs of
+    columns (_column_runs), each distinct run is formatted in one call, and
+    a table of several runs joins their lines row by row.
     """
-    row_fmt = ",".join(["%.15g"] * len(cols)) + "\n"
-    n = len(cols[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    runs = _column_runs(tables)
+    n = len(tables[0][2][0])
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline=""))
+                 for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(header + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
-            block = np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            text, lines = {}, {}  # run key -> this chunk's rows: one string, a list
+            for fh, table_runs in zip(files, runs):
+                for key, run in table_runs:
+                    if key not in text:
+                        text[key] = _format_rows(run, lo, lo + CSV_CHUNK_ROWS)
+                if len(table_runs) == 1:
+                    fh.write(text[table_runs[0][0]])
+                    continue
+                for key, _ in table_runs:
+                    if key not in lines:
+                        lines[key] = text[key].splitlines()
+                rows = zip(*(lines[key] for key, _ in table_runs))
+                fh.write("\n".join(map(",".join, rows)))
+                fh.write("\n")
+
+
+def _format_rows(cols, lo, hi):
+    """Rows lo:hi of equal-length columns as CSV text, in one %-format call."""
+    block = np.column_stack([c[lo:hi] for c in cols])
+    row_fmt = ",".join(["%.15g"] * len(cols)) + "\n"
+    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _column_runs(tables):
+    """Per table, its columns cut into (key, run) pairs.
+
+    A run is a maximal stretch of adjacent columns that every table holding
+    one of them holds in the same order, adjacent; so a run's text is the
+    same in every table that uses it. key is the tuple of the run's column
+    ids, under which its formatted text is shared.
+    """
+    where = {}
+    for ti, (_, _, cols) in enumerate(tables):
+        for ci, col in enumerate(cols):
+            where.setdefault(id(col), []).append((ti, ci))
+    out = []
+    for _, _, cols in tables:
+        runs = [[cols[0]]]
+        for a, b in zip(cols, cols[1:]):
+            if [(ti, ci + 1) for ti, ci in where[id(a)]] == where[id(b)]:
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+        out.append([(tuple(map(id, run)), run) for run in runs])
+    return out
 
 
 def _compiled(cfg: SimConfig):
     """(law, theta): the law over the plant's control view, and the true
-    parameters that only _rk4 sees."""
-    law = compile_law(cfg.plant.control_view(), cfg.safe_set, cfg.family,
-                      cfg.gains, cfg.reference, cfg.p2_law_sign)
-    return law, (cfg.plant.theta1, cfg.plant.theta2)
+    parameters that only _rk4 sees; compiled once per config."""
+    return cfg._law
 
 
 def _rk4(stage, theta, state, dt, a=None):
@@ -230,13 +303,14 @@ def run(cfg: SimConfig) -> Trajectory:
     differentiating the logged V, so the monitor can compare them.
     """
     law, theta = _compiled(cfg)
-    vfun = lyapunov_fn(cfg.dynamics(), cfg.gains)
+    vfun = cfg._lyapunov
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
     cols = np.empty((9, n_log))
+    ct, cx1, cx2, cp2h, cth1h, ce1, ce2, cu, cv = cols
     state = (cfg.x0[0], cfg.x0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
     failure = None
     j = 0
@@ -251,15 +325,15 @@ def run(cfg: SimConfig) -> Trajectory:
                                      message=str(exc))
                 break
             e1 = out[5]
-            cols[0][j] = i * dt
-            cols[1][j] = x1
-            cols[2][j] = x2
-            cols[3][j] = p2h
-            cols[4][j] = th1h
-            cols[5][j] = e1
-            cols[6][j] = out[6]
-            cols[7][j] = out[7]
-            cols[8][j] = vfun(x2, p2h, th1h, e1)
+            ct[j] = i * dt
+            cx1[j] = x1
+            cx2[j] = x2
+            cp2h[j] = p2h
+            cth1h[j] = th1h
+            ce1[j] = e1
+            ce2[j] = out[6]
+            cu[j] = out[7]
+            cv[j] = vfun(x2, p2h, th1h, e1)
             j += 1
         if i == n:
             break
@@ -274,10 +348,8 @@ def run(cfg: SimConfig) -> Trajectory:
     t = cols[0]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
-    xn1 = cols[1] / xb1
-    xn2 = cols[2] / xb2
-    zn1 = np.array([fam1.unsquash(v) for v in xn1])
-    zn2 = np.array([fam2.unsquash(v) for v in xn2])
+    z1 = xb1 * np.array([fam1.unsquash(v) for v in cols[1] / xb1])
+    z2 = xb2 * np.array([fam2.unsquash(v) for v in cols[2] / xb2])
     if len(t) >= 3:
         vdot_num = np.gradient(cols[8], t, edge_order=2)
     elif len(t) == 2:
@@ -285,8 +357,7 @@ def run(cfg: SimConfig) -> Trajectory:
     else:
         vdot_num = np.zeros_like(cols[8])
     return Trajectory(
-        t=t, x1=cols[1], x2=cols[2], xn1=xn1, xn2=xn2,
-        z1=xb1 * zn1, z2=xb2 * zn2, zn1=zn1, zn2=zn2,
+        t=t, x1=cols[1], x2=cols[2], z1=z1, z2=z2,
         e1=cols[5], e2=cols[6], u=cols[7],
         p2_hat=cols[3], theta1_hat=cols[4],
         v=cols[8], vdot_analytic=vdot_analytic(cols[5], cols[6], cfg.gains),

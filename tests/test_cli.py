@@ -174,6 +174,61 @@ class TestRunCommand:
             assert len((out / name).read_text().splitlines()) == 1
 
 
+def per_cell_lines(header, cols):
+    """Reference CSV text: one f"{v:.15g}" per cell."""
+    lines = [header]
+    for i in range(len(cols[0])):
+        lines.append(",".join(f"{c[i]:.15g}" for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+class TestRunCsvs:
+    # The three CSVs of `run` come out of one pass that formats each shared
+    # column once; each must still equal its own per-cell reference, built
+    # here from sim.run alone. Rows: an abort before the first log (0), an
+    # abort in the first step (1), one chunk, and one chunk plus a row.
+    @pytest.mark.parametrize("rows, old, new", [
+        (0, "x2 = 0.9", "x2 = 0.9\np2_hat = 1e308"),
+        (1, "x2 = 0.9", "x2 = 0.9\np2_hat = 1e100"),
+        (CSV_CHUNK_ROWS, "t_final = 2.0", f"t_final = {(CSV_CHUNK_ROWS - 1) / 1000}"),
+        (CSV_CHUNK_ROWS + 1, "t_final = 2.0", f"t_final = {CSV_CHUNK_ROWS / 1000}"),
+    ])
+    def test_each_file_matches_per_cell_reference(self, tmp_path, rows, old, new):
+        cfg = write_cfg(tmp_path, BASE.replace(old, new))
+        out = tmp_path / "out"
+        main(["run", cfg, "--out", str(out)])
+        sim = sl.load_config(cfg).sim
+        traj = sl.run(sim)
+        assert len(traj) == rows
+        th1_err = [abs(v - sim.plant.theta1 / sim.safe_set.x2_max)
+                   for v in traj.theta1_hat]
+        p2_err = [abs(v - 1.0 / sim.plant.theta2) for v in traj.p2_hat]
+        want = {
+            "trace.csv": per_cell_lines(sl.Trajectory.CSV_HEADER, (
+                traj.t, traj.x1, traj.x2, traj.z1, traj.z2, traj.e1, traj.e2,
+                traj.u, traj.p2_hat, traj.theta1_hat, traj.v,
+                traj.vdot_numeric, traj.vdot_analytic)),
+            "states_input.csv": per_cell_lines(
+                "t,x1,x2,u", (traj.t, traj.x1, traj.x2, traj.u)),
+            "estimation_errors.csv": per_cell_lines(
+                "t,theta1_err,p2_err,log10_theta1_err,log10_p2_err",
+                (traj.t, th1_err, p2_err,
+                 [np.log10(max(e, 1e-300)) for e in th1_err],
+                 [np.log10(max(e, 1e-300)) for e in p2_err])),
+        }
+        for name, text in want.items():
+            assert (out / name).read_text() == text, name
+
+    def test_trajectory_to_csv_equals_run_trace(self, tmp_path):
+        # Trajectory.to_csv is the one-table form of the writer `run` uses.
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        path = tmp_path / "alone.csv"
+        sl.run(sl.load_config(cfg).sim).to_csv(path)
+        assert path.read_bytes() == (out / "trace.csv").read_bytes()
+
+
 class TestSweepCommand:
     def test_three_gain_rows(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Plant descriptors, example plants, and the assumption checker."""
 
+import dataclasses
 import math
 
 import pytest
@@ -92,6 +93,13 @@ class TestPlantDef:
         assert view.g1 is motor.g1
         assert view.f2 is motor.f2
         assert view.g2 is motor.g2
+
+    def test_control_view_built_once_per_plant(self, motor):
+        assert motor.control_view() is motor.control_view()
+        g1 = lambda x: 2.0  # noqa: E731
+        other = dataclasses.replace(motor, g1=g1)
+        assert other.control_view().g1 is g1
+        assert motor.control_view().g1 is motor.g1
 
 
 class TestCheckAssumptions:

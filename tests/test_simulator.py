@@ -8,7 +8,8 @@ import pytest
 
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
-from safelift.simulator import CSV_CHUNK_ROWS, _compiled, write_csv
+from safelift import simulator
+from safelift.simulator import CSV_CHUNK_ROWS, _compiled, write_csv, write_csvs
 
 V0_BENCH = 57.441257570906908
 
@@ -66,6 +67,24 @@ class TestStep:
         assert state[0] == traj.x1[1]
         assert state[1] == traj.x2[1]
         assert est.p2_hat == traj.p2_hat[1]
+
+    def test_law_compiled_once_per_config(self, bench_cfg, monkeypatch):
+        calls = []
+
+        def counting_compile_law(*args):
+            calls.append(args)
+            return sl.compile_law(*args)
+
+        monkeypatch.setattr(simulator, "compile_law", counting_compile_law)
+        cfg = bench_cfg(t_final=0.01)
+        state, est = cfg.x0, cfg.est0
+        for _ in range(5):
+            state, est = sl.step(cfg, state, est)
+        sl.run(cfg)
+        assert len(calls) == 1
+        # replace() gives a new config, and the new config its own law.
+        sl.step(cfg.with_sign(-1.0), cfg.x0, cfg.est0)
+        assert len(calls) == 2 and calls[1][-1] == -1.0
 
 
 class TestStageFnMirrorsPublicApi:
@@ -241,3 +260,24 @@ class TestWriteCsv:
         per_cell_csv(want, "a,b,c,d", cols)
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_text().splitlines()) == rows + 1
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_shared_columns_write_as_if_alone(self, tmp_path, rows):
+        # Columns passed to several tables, in other orders and positions
+        # and twice within one table, are formatted once per chunk; every
+        # file must still equal the table written on its own.
+        rng = np.random.default_rng(rows)
+        edge = np.resize(np.array(EDGE_VALUES + [-v for v in EDGE_VALUES]), rows)
+        a, b, c, d = (edge, rng.standard_normal(rows) * 1e10,
+                      rng.permutation(edge), rng.uniform(-1.0, 1.0, rows))
+        tables = [(tmp_path / "t0.csv", "a,b,c", (a, b, c)),
+                  (tmp_path / "t1.csv", "b,c,d,a", (b, c, d, a)),
+                  (tmp_path / "t2.csv", "a,a,d", (a, a, d)),
+                  (tmp_path / "t3.csv", "d", (d,))]
+        write_csvs(tables)
+        for path, header, cols in tables:
+            alone = tmp_path / "alone.csv"
+            write_csv(alone, header, cols)
+            per_cell_csv(tmp_path / "want.csv", header, cols)
+            assert path.read_bytes() == alone.read_bytes()
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
