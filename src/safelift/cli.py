@@ -32,7 +32,7 @@ from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify
 from .plant import check_assumptions
-from .simulator import run as run_sim, write_csv, write_csvs
+from .simulator import run as run_sim, write_csvs
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -61,15 +61,12 @@ def _estimation_errors(traj, plant, safe_set):
 
 _ERRORS_HEADER = "t,theta1_err,p2_err,log10_theta1_err,log10_p2_err"
 
-
-def _write_estimation_errors(path, traj, plant, safe_set) -> None:
-    """estimation_errors.csv on its own; run writes it with the others."""
-    write_csv(path, _ERRORS_HEADER,
-              (traj.t, *_estimation_errors(traj, plant, safe_set)))
+_SVG_WIDTH, _SVG_HEIGHT = 900, 360
 
 
-def _render_svg(path, title, t, series, width=900, height=360) -> None:
+def _render_svg(path, title, t, series) -> None:
     """Minimal polyline plot, one panel, shared time axis."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     pad = 50
     t0, t1 = float(t[0]), float(t[-1]) if len(t) > 1 else float(t[0]) + 1.0
     lo = min(float(np.min(y)) for _, y in series)

@@ -93,20 +93,13 @@ def _getfloat(sec, key, default=None):
 def _build_plant(sec):
     ptype = sec.get("type", "dc_motor").strip()
     if ptype == "dc_motor":
-        try:
-            params = DcMotorParams(J=_getfloat(sec, "J", 0.01),
-                                   b=_getfloat(sec, "b", 0.1),
-                                   R=_getfloat(sec, "R", 1.0),
-                                   Kt=_getfloat(sec, "Kt", 0.01),
-                                   Kb=_getfloat(sec, "Kb", 0.01))
-        except InvalidParams as exc:
-            raise ConfigError(str(exc)) from None
-        return dc_motor(params)
+        return dc_motor(DcMotorParams(J=_getfloat(sec, "J", 0.01),
+                                      b=_getfloat(sec, "b", 0.1),
+                                      R=_getfloat(sec, "R", 1.0),
+                                      Kt=_getfloat(sec, "Kt", 0.01),
+                                      Kb=_getfloat(sec, "Kb", 0.01)))
     if ptype == "double_integrator":
-        try:
-            return double_integrator(_getfloat(sec, "theta", 1.0))
-        except InvalidParams as exc:
-            raise ConfigError(str(exc)) from None
+        return double_integrator(_getfloat(sec, "theta", 1.0))
     raise ConfigError(f"unknown plant type {ptype!r}; expected dc_motor or "
                       f"double_integrator")
 

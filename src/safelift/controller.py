@@ -185,7 +185,8 @@ def evaluate(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
              p2_law_sign: float = 1.0) -> ControllerSignals:
     """Errors, control input, and adaptation rates at one frame.
 
-    Only the control view of dyn's plant reaches the law.
+    Only the control view of dyn's plant reaches the law, compiled anew on
+    every call; the simulator and the monitor use the config's compiled law.
     """
     law = compile_law(dyn.plant.control_view(), dyn.safe_set, dyn.family,
                       gains, ref, p2_law_sign)

@@ -20,10 +20,12 @@ Structural facts used by the controller design and verified in the tests:
 both z-rates vanish at z2 = 0, and virtual_gain and input_gain are nonzero
 wherever the plant assumptions hold, so (z1_ref, 0, u=0) is an equilibrium.
 
-``rhs`` is the lifted vector field under an arbitrary input; the monitor
-uses it for the equilibrium residual and the tests check it against a
-finite-difference pushforward of the plant. The closed loop integrated in
-z coordinates (``simulator.run_lifted``) calls the controller's law instead.
+``lifted_stage`` is the closed loop in z: the controller's compiled law
+carried over by the chain rule, which ``simulator.run_lifted`` integrates
+and the monitor's equilibrium residual evaluates. ``fields`` and ``rhs``
+build the same field from the plant's shape functions: the independent
+oracle (as ``plant.plant_rhs`` is for x) that the tests compare with a
+finite-difference pushforward and with the monitor's residual.
 """
 
 from __future__ import annotations
@@ -36,12 +38,34 @@ from .errors import InvalidParams, SingularityDetected
 from .lifting import CoordinateFrame, SafeSet, FamilySpec, family_pair, unlift
 
 
+def lifted_stage(law, safe_set: SafeSet, family: FamilySpec):
+    """The RK4 stage of the closed loop with (z1, z2, p2_hat, theta1_hat) as state.
+
+    law is a compiled control law (controller.compile_law). The stage
+    unlifts z, evaluates the law at that x, and applies the chain rule
+    z_i' = unsquash_deriv(xn_i) * x_i' to its rates, keeping the regressor
+    form: it returns (z1', phi, psi, p2_hat', theta1_hat') with
+    z2' = theta1 * phi + theta2 * psi.
+    """
+    fam1, fam2 = family_pair(family)
+    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
+
+    def stage(z1, z2, p2h, th1h):
+        frame = unlift((z1, z2), safe_set, family)
+        out = law(frame.x[0], frame.x[1], p2h, th1h)
+        d1, d2 = dun1(frame.xn[0]), dun2(frame.xn[1])
+        return (d1 * out[0], d2 * out[1], d2 * out[2], out[3], out[4])
+
+    return stage
+
+
 @dataclass(frozen=True)
 class LiftedDynamics:
     """Plant + safe set + lifting family, viewed in z coordinates.
 
-    ``plant`` may be a full PlantDef or a controller-facing PlantShape;
-    only ``rhs`` requires the true parameters.
+    ``fields`` and ``rhs`` are the independent oracle for ``lifted_stage``;
+    no production path calls them. ``plant`` may be a full PlantDef or a
+    controller-facing PlantShape; only ``rhs`` requires the true parameters.
     """
 
     plant: object

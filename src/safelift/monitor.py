@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import EstimatorState, Reference, ControllerGains, evaluate
-from .lifted_dynamics import LiftedDynamics
+from .controller import EstimatorState, Reference, ControllerGains
+from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import CoordinateFrame, family_pair, lift
 from .errors import InvalidParams
 
@@ -183,13 +183,12 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     """Evaluate every certificate check on a (possibly partial) trajectory."""
     th = thresholds or CertThresholds()
     nan = float("nan")
+    failure = None if traj.failure is None else \
+        f"{traj.failure.kind} at t={traj.failure.time:.6g}: {traj.failure.message}"
     if len(traj) == 0:
         # Failed before the first sample could be logged.
         return Certificate(
-            completed=False,
-            failure=None if traj.failure is None else
-            f"{traj.failure.kind} at t={traj.failure.time:.6g}: {traj.failure.message}",
-            v0=nan, safe_invariance=False,
+            completed=False, failure=failure, v0=nan, safe_invariance=False,
             first_violation_time=None if traj.failure is None else traj.failure.time,
             lyapunov_monotone=False, worst_v_increment=nan,
             vdot_identity_error=nan, estimates_bounded=False,
@@ -222,18 +221,15 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
 
     tracking = float(abs(traj.x1[-1] - cfg.reference.x1d))
 
-    dyn = cfg.dynamics()
-    frame = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family)
-    est = EstimatorState(p2_hat=float(traj.p2_hat[-1]),
-                         theta1_hat=float(traj.theta1_hat[-1]))
-    sig = evaluate(dyn, frame, cfg.reference, cfg.gains, est, cfg.p2_law_sign)
-    dz1, dz2 = dyn.rhs(frame.z, sig.u)
-    residual = max(abs(dz1), abs(dz2), abs(sig.dp2_hat), abs(sig.dtheta1_hat))
+    law, (th1, th2) = cfg._law
+    z1, z2 = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family).z
+    dz1, phi, psi, dp2, dth1 = lifted_stage(law, cfg.safe_set, cfg.family)(
+        z1, z2, float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
+    residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
 
     return Certificate(
         completed=traj.completed,
-        failure=None if traj.failure is None else
-        f"{traj.failure.kind} at t={traj.failure.time:.6g}: {traj.failure.message}",
+        failure=failure,
         v0=v0,
         safe_invariance=safe,
         first_violation_time=first_violation,

@@ -8,8 +8,9 @@ form; _rk4 alone combines them with the true parameters,
 x2' = theta1 * phi + theta2 * psi.
 
 run_lifted integrates the same closed loop with the lifted (z1, z2) as the
-state, through the same law and the same _rk4, and recovers x by unlifting.
-Agreement of the two routes checks the coordinate-change algebra.
+state, through the same law carried into z by lifted_dynamics.lifted_stage
+and the same _rk4, and recovers x by unlifting. Agreement of the two
+routes checks the coordinate-change algebra.
 
 Every stage state must stay strictly inside the safe-set guard band; a
 stage that leaves it aborts the step (the state is never clamped, since a
@@ -38,7 +39,7 @@ import numpy as np
 from .controller import ControllerGains, EstimatorState, Reference, compile_law
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
-from .lifted_dynamics import LiftedDynamics
+from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import (EPS_DOMAIN, SafeSet, FamilySpec, family_pair, lift,
                       tanh_family, unlift)
 from .monitor import lyapunov_fn, vdot_analytic
@@ -110,8 +111,9 @@ class SimConfig:
     def with_sign(self, p2_law_sign: float) -> "SimConfig":
         return replace(self, p2_law_sign=float(p2_law_sign))
 
-    # Compiled once per config on first use; dataclasses.replace builds a new
-    # config, so a changed field never meets a stale closure.
+    # (law, theta): the law over the plant's control view, and the true
+    # parameters only _rk4 sees. Compiled once per config; replace() builds
+    # a new config, so a changed field never meets a stale closure.
     @cached_property
     def _law(self):
         return (compile_law(self.plant.control_view(), self.safe_set, self.family,
@@ -246,12 +248,6 @@ def _column_runs(tables):
     return out
 
 
-def _compiled(cfg: SimConfig):
-    """(law, theta): the law over the plant's control view, and the true
-    parameters that only _rk4 sees; compiled once per config."""
-    return cfg._law
-
-
 def _rk4(stage, theta, state, dt, a=None):
     """One classical RK4 step of a stage in regressor form.
 
@@ -286,7 +282,7 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     time) if any stage leaves the guard band, hits a singular gain, or sees
     a non-finite value.
     """
-    law, theta = _compiled(cfg)
+    law, theta = cfg._law
     try:
         x1, x2, p2h, th1h = _rk4(law, theta, (state[0], state[1], est.p2_hat,
                                               est.theta1_hat), cfg.dt)
@@ -302,7 +298,7 @@ def run(cfg: SimConfig) -> Trajectory:
     -(sqrt(k1) e1 - sqrt(k2) e2)^2 and a numeric rate obtained by
     differentiating the logged V, so the monitor can compare them.
     """
-    law, theta = _compiled(cfg)
+    law, theta = cfg._law
     vfun = cfg._lyapunov
     n = cfg.n_steps
     dt = cfg.dt
@@ -316,28 +312,23 @@ def run(cfg: SimConfig) -> Trajectory:
     j = 0
     for i in range(n + 1):
         out = None  # a logged step's stage evaluation doubles as RK4's first stage
-        if i % stride == 0 or i == n:
-            x1, x2, p2h, th1h = state
-            try:
-                out = law(x1, x2, p2h, th1h)
-            except _STAGE_ERRORS as exc:
-                failure = RunFailure(time=i * dt, kind=type(exc).__name__,
-                                     message=str(exc))
-                break
-            e1 = out[5]
-            ct[j] = i * dt
-            cx1[j] = x1
-            cx2[j] = x2
-            cp2h[j] = p2h
-            cth1h[j] = th1h
-            ce1[j] = e1
-            ce2[j] = out[6]
-            cu[j] = out[7]
-            cv[j] = vfun(x2, p2h, th1h, e1)
-            j += 1
-        if i == n:
-            break
         try:
+            if i % stride == 0 or i == n:
+                x1, x2, p2h, th1h = state
+                out = law(x1, x2, p2h, th1h)
+                e1 = out[5]
+                ct[j] = i * dt
+                cx1[j] = x1
+                cx2[j] = x2
+                cp2h[j] = p2h
+                cth1h[j] = th1h
+                ce1[j] = e1
+                ce2[j] = out[6]
+                cu[j] = out[7]
+                cv[j] = vfun(x2, p2h, th1h, e1)
+                j += 1
+            if i == n:
+                break
             state = _rk4(law, theta, state, dt, a=out)
         except _STAGE_ERRORS as exc:
             failure = RunFailure(time=i * dt, kind=type(exc).__name__,
@@ -382,24 +373,16 @@ class LiftedRun:
 def run_lifted(cfg: SimConfig) -> LiftedRun:
     """Integrate the closed loop with (z1, z2, p2_hat, theta1_hat) as the state.
 
-    Each stage unlifts z, evaluates the law at that x, and carries the rates
-    over by the chain rule z_i' = unsquash_deriv(xn_i) x_i', which keeps the
-    regressor form for _rk4. The logged x comes from unlift. A stage inside
-    the guard band or with a non-finite value raises StepRejected with the
-    time of the step, as step does: a z that only maps into the box because
-    the squash rounds to the boundary is a divergence, not a safe state.
+    Each stage is lifted_dynamics.lifted_stage over the config's compiled
+    law, in the regressor form _rk4 takes. The logged x comes from unlift. A
+    stage inside the guard band or with a non-finite value raises
+    StepRejected with the time of the step, as step does: a z that only maps
+    into the box because the squash rounds to the boundary is a divergence,
+    not a safe state.
     """
-    law, theta = _compiled(cfg)
+    law, theta = cfg._law
     ss, fam = cfg.safe_set, cfg.family
-    fam1, fam2 = family_pair(fam)
-    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
-
-    def stage(z1, z2, p2h, th1h):
-        frame = unlift((z1, z2), ss, fam)
-        out = law(frame.x[0], frame.x[1], p2h, th1h)
-        d1, d2 = dun1(frame.xn[0]), dun2(frame.xn[1])
-        return (d1 * out[0], d2 * out[1], d2 * out[2], out[3], out[4])
-
+    stage = lifted_stage(law, ss, fam)
     n, dt = cfg.n_steps, cfg.dt
     state = (*lift(cfg.x0, ss, fam).z, cfg.est0.p2_hat, cfg.est0.theta1_hat)
     cols = np.empty((4, n + 1))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import safelift as sl
-from safelift.cli import _write_estimation_errors, main
-from safelift.simulator import CSV_CHUNK_ROWS
+from safelift.cli import _ERRORS_HEADER, _estimation_errors, main
+from safelift.simulator import CSV_CHUNK_ROWS, write_csv
 
 FIG2 = "configs/dc_motor_fig2.cfg"
 CERTIFIED = "configs/dc_motor_certified.cfg"
@@ -116,7 +116,8 @@ class TestRunCommand:
         traj = SimpleNamespace(t=np.arange(rows) * 1e-3, theta1_hat=th1_hat,
                                p2_hat=p2_hat)
         got = tmp_path / "got.csv"
-        _write_estimation_errors(got, traj, plant, box)
+        write_csv(got, _ERRORS_HEADER,
+                  (traj.t, *_estimation_errors(traj, plant, box)))
 
         lines = ["t,theta1_err,p2_err,log10_theta1_err,log10_p2_err"]
         for i in range(rows):

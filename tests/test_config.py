@@ -169,6 +169,17 @@ class TestLoadConfigErrors:
         with pytest.raises(ConfigError, match="p2_law_sign"):
             sl.load_config(write_cfg(tmp_path, body))
 
+    @pytest.mark.parametrize("plant, match", [
+        ("type = dc_motor\nJ = -0.01", "J must be positive"),
+        ("type = double_integrator\ntheta = 0", "finite and nonzero"),
+    ])
+    def test_invalid_plant_parameters(self, tmp_path, plant, match):
+        # The plant constructors raise InvalidParams; load_config must turn
+        # it into a ConfigError (exit code 2), not let it escape.
+        body = MINIMAL + f"[plant]\n{plant}\n"
+        with pytest.raises(ConfigError, match=match):
+            sl.load_config(write_cfg(tmp_path, body))
+
 
 class TestSweep:
     def test_cartesian_order_is_deterministic(self, tmp_path):

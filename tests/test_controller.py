@@ -12,7 +12,7 @@ import pytest
 import safelift as sl
 from safelift import controller as controller_module
 from safelift.errors import InvalidParams, NonFiniteInput
-from safelift.simulator import _compiled, _rk4
+from safelift.simulator import _rk4
 
 # Frozen reference values for the benchmark scenario at t = 0
 # (x = (0, 0.9), target -1.9, box (2, 1), unit gains, estimates (1, 0)),
@@ -204,7 +204,7 @@ class TestParameterFirewall:
         assert not hasattr(shape, "theta1") and not hasattr(shape, "theta2")
         law = sl.compile_law(shape, cfg.safe_set, cfg.family, cfg.gains,
                              cfg.reference, cfg.p2_law_sign)
-        hot, theta = _compiled(cfg)
+        hot, theta = cfg._law
         rng = np.random.default_rng(25)
         for _ in range(50):
             s = (rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import safelift as sl
+from safelift import controller, simulator
 from safelift.errors import InvalidParams
 
 # Frozen benchmark values (30-digit oracle): V at t = 0 decomposes into
@@ -145,6 +146,63 @@ class TestCertify:
         tight = sl.CertThresholds(lyap_increment_rel=1e-20)
         cert = sl.certify(run_plus, bench_cfg(), tight)
         assert not cert.lyapunov_monotone
+
+    def test_certify_reuses_the_config_law(self, bench_cfg, monkeypatch):
+        # run compiles the config's law once; certify's equilibrium
+        # residual evaluates that same law rather than compiling another.
+        calls = []
+        original = sl.compile_law
+
+        def counting_compile_law(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "compile_law", counting_compile_law)
+        monkeypatch.setattr(controller, "compile_law", counting_compile_law)
+        cfg = bench_cfg(t_final=0.05)
+        sl.certify(sl.run(cfg), cfg)
+        assert len(calls) == 1
+
+
+def _oracle_residual(traj, cfg):
+    """The equilibrium residual composed from the public oracle API:
+    evaluate for the law's signals, LiftedDynamics.rhs for the z rates."""
+    dyn = cfg.dynamics()
+    frame = sl.lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family)
+    est = sl.EstimatorState(float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
+    sig = sl.evaluate(dyn, frame, cfg.reference, cfg.gains, est, cfg.p2_law_sign)
+    dz1, dz2 = dyn.rhs(frame.z, sig.u)
+    return max(abs(dz1), abs(dz2), abs(sig.dp2_hat), abs(sig.dtheta1_hat))
+
+
+def _wide_pair_cfg():
+    # Speed box 2 and a (tanh, logit) family pair, stopped mid-transient
+    # under the -1 law so the residual is far from zero.
+    motor = sl.dc_motor()
+    box = sl.SafeSet(2.0, 2.0)
+    fam = (sl.tanh_family(), sl.logit_family())
+    return sl.SimConfig(plant=motor, safe_set=box,
+                        gains=sl.ControllerGains(1.0, 1.0, 1.0, motor.theta2_sign),
+                        reference=sl.Reference.for_target(-1.9, box, fam),
+                        x0=(0.0, 0.9), est0=sl.EstimatorState(1.0, 0.0),
+                        family=fam, dt=1e-3, t_final=5.0, p2_law_sign=-1.0)
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: sl.load_config("configs/dc_motor_fig2.cfg").sim,
+    lambda: sl.load_config("configs/dc_motor_certified.cfg").sim,
+    _wide_pair_cfg,
+], ids=["fig2", "certified", "x2max2_tanh_logit"])
+def test_equilibrium_residual_matches_oracle_composition(make_cfg):
+    # certify carries the config's compiled law into z (lifted_stage); the
+    # oracle builds the same rates from the plant's shape functions. Both
+    # bundled configs agree exactly; the family-pair config to 7e-16
+    # relative (measured), so 1e-12 leaves room for libm differences.
+    cfg = make_cfg()
+    traj = sl.run(cfg)
+    got = sl.certify(traj, cfg).equilibrium_residual
+    assert got > 0.0
+    assert got == pytest.approx(_oracle_residual(traj, cfg), rel=1e-12, abs=0)
 
 
 class TestGeneralBoxAndFamily:

@@ -9,7 +9,7 @@ import pytest
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
 from safelift import simulator
-from safelift.simulator import CSV_CHUNK_ROWS, _compiled, write_csv, write_csvs
+from safelift.simulator import CSV_CHUNK_ROWS, write_csv, write_csvs
 
 V0_BENCH = 57.441257570906908
 
@@ -92,7 +92,7 @@ class TestStageFnMirrorsPublicApi:
         # The hot path's law, with theta combined as _rk4 combines it, must
         # agree with the true plant (plant_rhs) driven by lift + evaluate.
         cfg = bench_cfg()
-        law, (th1, th2) = _compiled(cfg)
+        law, (th1, th2) = cfg._law
         dyn = cfg.dynamics()
         rng = np.random.default_rng(31)
         for _ in range(300):
