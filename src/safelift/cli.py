@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
-from .monitor import certify
+from .monitor import certify, estimate_targets
 from .plant import check_assumptions
 from .simulator import run as run_sim, write_csvs
 
@@ -49,11 +49,11 @@ def _package_version() -> str:
 def _estimation_errors(traj, plant, safe_set):
     """|theta1_hat - theta1/x2_max| and |p2_hat - 1/theta2|, plain and log10.
 
-    theta1_hat estimates the drift of the normalised velocity x2 / x2_max,
-    so it converges to theta1 / x2_max (the monitor's Lyapunov centring).
+    The targets are monitor.estimate_targets, the centring of V.
     """
-    th1_err = np.abs(traj.theta1_hat - plant.theta1 / safe_set.x2_max)
-    p2_err = np.abs(traj.p2_hat - 1.0 / plant.theta2)
+    th1_target, p2_target = estimate_targets(plant, safe_set)
+    th1_err = np.abs(traj.theta1_hat - th1_target)
+    p2_err = np.abs(traj.p2_hat - p2_target)
     floor = 1e-300
     return (th1_err, p2_err,
             np.log10(np.maximum(th1_err, floor)), np.log10(np.maximum(p2_err, floor)))
@@ -148,7 +148,7 @@ def _cmd_sweep(args) -> int:
         label = " ".join(f"{k}={v:g}" for k, v in overrides.items())
         try:
             sim = apply_overrides(ec.sim, overrides)
-        except (ConfigError, SafeliftError) as exc:
+        except SafeliftError as exc:
             rows.append(f"{i},{label},invalid-config,,,,,,"
                         f"{str(exc).replace(',', ';')}")
             continue

@@ -59,7 +59,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .controller import ControllerGains, EstimatorState, Reference
+from .controller import ControllerGains, EstimatorState
 from .errors import ConfigError, InvalidParams
 from .lifting import SafeSet, get_family
 from .monitor import CertThresholds
@@ -75,7 +75,6 @@ class ExperimentConfig:
     out_dir: Path
     thresholds: CertThresholds
     sweep: dict[str, list[float]] = field(default_factory=dict)
-    source: Path | None = None
 
 
 def _getfloat(sec, key, default=None):
@@ -121,11 +120,9 @@ def _build_sim(parser) -> SimConfig:
         csec = section("controller")
         gains = ControllerGains(k1=_getfloat(csec, "k1", 1.0),
                                 gamma=_getfloat(csec, "gamma", 1.0),
-                                alpha=_getfloat(csec, "alpha", 1.0),
-                                theta2_sign=plant.theta2_sign)
+                                alpha=_getfloat(csec, "alpha", 1.0))
         p2_law_sign = _getfloat(csec, "p2_law_sign", 1.0)
-        ref = Reference.for_target(_getfloat(section("reference"), "x1d"),
-                                   safe_set, family)
+        x1d = _getfloat(section("reference"), "x1d")
         isec = section("initial")
         x0 = (_getfloat(isec, "x1", 0.0), _getfloat(isec, "x2", 0.0))
         est0 = EstimatorState(p2_hat=_getfloat(isec, "p2_hat", 1.0),
@@ -137,7 +134,7 @@ def _build_sim(parser) -> SimConfig:
         except ValueError:
             raise ConfigError(f"log_stride must be an integer, got {stride!r}") from None
         return SimConfig(plant=plant, safe_set=safe_set, gains=gains,
-                         reference=ref, x0=x0, est0=est0, family=family,
+                         x1d=x1d, x0=x0, est0=est0, family=family,
                          dt=_getfloat(ssec, "dt", 1e-3),
                          t_final=_getfloat(ssec, "t_final", 30.0),
                          log_stride=stride, p2_law_sign=p2_law_sign)
@@ -183,25 +180,18 @@ def load_config(path) -> ExperimentConfig:
                                   f"of numbers") from None
 
     return ExperimentConfig(sim=sim, out_dir=out_dir, thresholds=thresholds,
-                            sweep=sweep, source=path)
+                            sweep=sweep)
 
 
 def apply_overrides(sim: SimConfig, overrides: dict[str, float]) -> SimConfig:
     """Rebuild a SimConfig with sweep overrides applied (and revalidated)."""
-    gains = sim.gains
-    gk = {k: overrides[k] for k in ("k1", "gamma", "alpha") if k in overrides}
-    if gk:
-        gains = ControllerGains(k1=gk.get("k1", gains.k1),
-                                gamma=gk.get("gamma", gains.gamma),
-                                alpha=gk.get("alpha", gains.alpha),
-                                theta2_sign=gains.theta2_sign)
-    ref = sim.reference
-    if "x1d" in overrides:
-        ref = Reference.for_target(overrides["x1d"], sim.safe_set, sim.family)
-    x0 = (overrides.get("x1", sim.x0[0]), overrides.get("x2", sim.x0[1]))
-    est0 = EstimatorState(p2_hat=overrides.get("p2_hat", sim.est0.p2_hat),
-                          theta1_hat=overrides.get("theta1_hat", sim.est0.theta1_hat))
-    return replace(sim, gains=gains, reference=ref, x0=x0, est0=est0)
+    def pick(*keys):
+        return {k: overrides[k] for k in keys if k in overrides}
+
+    return replace(sim, **pick("x1d"),
+                   gains=replace(sim.gains, **pick("k1", "gamma", "alpha")),
+                   x0=(overrides.get("x1", sim.x0[0]), overrides.get("x2", sim.x0[1])),
+                   est0=replace(sim.est0, **pick("p2_hat", "theta1_hat")))
 
 
 def sweep_rows(ec: ExperimentConfig):

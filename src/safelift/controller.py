@@ -49,15 +49,15 @@ from .plant import PlantShape
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Backstepping gain, adaptation gains, and the known input-gain sign.
+    """Backstepping gain k1 and the adaptation gains gamma and alpha.
 
-    k2 is not a field: it is always 1 / k1.
+    k2 is not a field: it is always 1 / k1. Nor is sign(theta2): the law
+    reads it from the PlantShape it is compiled from.
     """
 
     k1: float
     gamma: float
     alpha: float
-    theta2_sign: float
 
     def __post_init__(self):
         if not (math.isfinite(self.k1) and self.k1 > 0.0):
@@ -66,8 +66,6 @@ class ControllerGains:
             raise InvalidParams(f"gamma must be positive, got {self.gamma}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidParams(f"alpha must be positive, got {self.alpha}")
-        if self.theta2_sign not in (1.0, -1.0, 1, -1):
-            raise InvalidParams(f"theta2_sign must be +1 or -1, got {self.theta2_sign}")
 
     @property
     def k2(self) -> float:
@@ -87,7 +85,6 @@ class Reference:
     """A constant position target and its lifted image."""
 
     x1d: float
-    xn1d: float
     z1d: float
 
     @classmethod
@@ -100,8 +97,7 @@ class Reference:
                 f"reference x1d={x1d} must lie strictly inside (-{safe_set.x1_max}, "
                 f"{safe_set.x1_max})")
         fam1, _ = family_pair(family)
-        xn1d = x1d / safe_set.x1_max
-        return cls(x1d=x1d, xn1d=xn1d, z1d=safe_set.x1_max * fam1.unsquash(xn1d))
+        return cls(x1d=x1d, z1d=safe_set.x1_max * fam1.unsquash(x1d / safe_set.x1_max))
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     k1 = gains.k1
     k2 = gains.k2
     gam, alp = gains.gamma, gains.alpha
-    sgn = gains.theta2_sign
+    sgn = shape.theta2_sign
     z1d = ref.z1d
     isfinite = math.isfinite
 

@@ -33,17 +33,24 @@ from .lifting import CoordinateFrame, family_pair, lift
 from .errors import InvalidParams
 
 
+def estimate_targets(plant, safe_set) -> tuple[float, float]:
+    """(theta1 / x2_max, 1 / theta2), what theta1_hat and p2_hat estimate.
+
+    theta1_hat estimates the drift of x2 / x2_max, hence theta1 / x2_max.
+    """
+    return plant.theta1 / safe_set.x2_max, 1.0 / plant.theta2
+
+
 def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
     """Compile V into v(x2, p2_hat, theta1_hat, e1).
 
     Both lyapunov and the simulator's logged V column evaluate this one
     function. dyn must be truth-backed (its plant carries theta1/theta2).
-    The drift-estimate term is centred on theta1 / x2_max, the target the
-    adaptation law actually converges around; with that centring the
-    analytic decrease law holds for any box size.
+    The estimate terms are centred on estimate_targets; with that centring
+    the analytic decrease law holds for any box size.
     """
     try:
-        th1, th2 = dyn.plant.theta1, dyn.plant.theta2
+        th1e, p2 = estimate_targets(dyn.plant, dyn.safe_set)
     except AttributeError:
         raise InvalidParams(
             "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
@@ -51,9 +58,7 @@ def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
     xb2 = dyn.safe_set.x2_max
     _, fam2 = family_pair(dyn.family)
     un2, vcal2 = fam2.unsquash, fam2.squash_integral
-    p2 = 1.0 / th2
-    ath2 = abs(th2)
-    th1e = th1 / xb2
+    ath2 = abs(dyn.plant.theta2)
     gam, alp = gains.gamma, gains.alpha
 
     def v(x2, p2h, th1h, e1):
@@ -219,7 +224,7 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     bound = th.estimate_bound_factor * (1.0 + v0)
     bounded = sup_p2 < bound and sup_th1 < bound
 
-    tracking = float(abs(traj.x1[-1] - cfg.reference.x1d))
+    tracking = float(abs(traj.x1[-1] - cfg.x1d))
 
     law, (th1, th2) = cfg._law
     z1, z2 = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family).z

@@ -35,13 +35,18 @@ class PlantShape:
     """The controller-facing view of a plant: shapes and the input-gain sign.
 
     Deliberately carries no theta1/theta2 fields; handing this object to the
-    controller is what enforces the unknown-parameter firewall.
+    controller is what enforces the unknown-parameter firewall. It is also
+    the only place the controller reads sign(theta2) from.
     """
 
     g1: ScalarFn
     f2: StateFn
     g2: StateFn
     theta2_sign: float
+
+    def __post_init__(self):
+        if self.theta2_sign not in (1.0, -1.0):
+            raise InvalidParams(f"theta2_sign must be +1 or -1, got {self.theta2_sign}")
 
     def control_view(self) -> "PlantShape":
         """Already the controller-facing view."""

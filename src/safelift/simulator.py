@@ -37,11 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .controller import ControllerGains, EstimatorState, Reference, compile_law
-from .errors import (ConfigError, DomainViolation, NonFiniteInput,
+from .errors import (ConfigError, DomainViolation, InvalidParams, NonFiniteInput,
                      SingularityDetected, StepRejected)
 from .lifted_dynamics import LiftedDynamics, lifted_stage
-from .lifting import (EPS_DOMAIN, SafeSet, FamilySpec, family_pair, lift,
-                      tanh_family, unlift)
+from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family, unlift
 from .monitor import lyapunov_fn, vdot_analytic
 from .plant import PlantDef
 
@@ -52,6 +51,8 @@ _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 class SimConfig:
     """A fully specified closed-loop experiment.
 
+    sign(theta2) is stored only in the plant and the target only as x1d;
+    reference derives from x1d and is checked when the config is built.
     t_final is rounded to a whole number of dt steps. log_stride thins the
     trajectory record (every Nth step plus the final state). p2_law_sign
     selects the p2_hat update sign, +1 by default (see the controller
@@ -61,7 +62,7 @@ class SimConfig:
     plant: PlantDef
     safe_set: SafeSet
     gains: ControllerGains
-    reference: Reference
+    x1d: float
     x0: tuple[float, float]
     est0: EstimatorState
     family: FamilySpec = field(default_factory=tanh_family)
@@ -71,6 +72,10 @@ class SimConfig:
     p2_law_sign: float = 1.0
 
     def __post_init__(self):
+        try:
+            self.reference
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from None
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
@@ -79,25 +84,21 @@ class SimConfig:
             raise ConfigError(f"log_stride must be a positive integer, got {self.log_stride}")
         if self.p2_law_sign not in (1.0, -1.0, 1, -1):
             raise ConfigError(f"p2_law_sign must be +1 or -1, got {self.p2_law_sign}")
-        x1, x2 = self.x0
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise ConfigError(f"initial state must be finite, got {self.x0}")
-        xb1, xb2 = self.safe_set.bounds
-        if not (abs(x1) < xb1 * (1.0 - EPS_DOMAIN) and abs(x2) < xb2 * (1.0 - EPS_DOMAIN)):
-            raise ConfigError(
-                f"initial state {self.x0} must lie strictly inside the safe set "
-                f"(-{xb1}, {xb1}) x (-{xb2}, {xb2})")
+        try:
+            lift(self.x0, self.safe_set, self.family)
+        except (NonFiniteInput, DomainViolation) as exc:
+            raise ConfigError(f"initial state {self.x0} must be finite and strictly "
+                              f"inside the safe set: {exc}") from None
         if not (math.isfinite(self.est0.p2_hat) and math.isfinite(self.est0.theta1_hat)):
             raise ConfigError(f"initial estimates must be finite, got {self.est0}")
         if self.est0.p2_hat == 0.0:
             raise ConfigError(
                 "initial p2_hat must be nonzero: a zero reciprocal-gain estimate "
                 "makes the control input identically zero for all time")
-        if self.gains.theta2_sign != self.plant.theta2_sign:
-            raise ConfigError(
-                f"gains.theta2_sign={self.gains.theta2_sign} disagrees with the "
-                f"plant input-gain sign {self.plant.theta2_sign}")
-        family_pair(self.family)
+
+    @cached_property
+    def reference(self) -> Reference:
+        return Reference.for_target(self.x1d, self.safe_set, self.family)
 
     @property
     def n_steps(self) -> int:

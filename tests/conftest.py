@@ -34,10 +34,9 @@ def logit_fam():
 
 
 @pytest.fixture(scope="session")
-def gains(motor):
+def gains():
     return sl.ControllerGains(k1=BENCH["k1"], gamma=BENCH["gamma"],
-                              alpha=BENCH["alpha"],
-                              theta2_sign=motor.theta2_sign)
+                              alpha=BENCH["alpha"])
 
 
 @pytest.fixture(scope="session")
@@ -46,10 +45,10 @@ def ref(box, tanh_fam):
 
 
 @pytest.fixture(scope="session")
-def bench_cfg(motor, box, gains, ref, tanh_fam):
+def bench_cfg(motor, box, gains, tanh_fam):
     """Factory for the benchmark SimConfig with selected overrides."""
 
-    base = sl.SimConfig(plant=motor, safe_set=box, gains=gains, reference=ref,
+    base = sl.SimConfig(plant=motor, safe_set=box, gains=gains, x1d=BENCH["x1d"],
                         x0=BENCH["x0"],
                         est0=sl.EstimatorState(BENCH["p2_hat0"],
                                                BENCH["theta1_hat0"]),

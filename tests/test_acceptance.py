@@ -139,9 +139,8 @@ class TestAcceptance:
             cfg = sl.SimConfig(
                 plant=motor, safe_set=box,
                 gains=sl.ControllerGains(k1=float(k1), gamma=float(gamma),
-                                         alpha=float(alpha),
-                                         theta2_sign=motor.theta2_sign),
-                reference=sl.Reference.for_target(x1d, box, tanh_fam),
+                                         alpha=float(alpha)),
+                x1d=x1d,
                 x0=x0, est0=sl.EstimatorState(1.0, 0.0),
                 family=tanh_fam, dt=1e-3, t_final=30.0)
             traj = sl.run(cfg)

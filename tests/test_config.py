@@ -72,7 +72,7 @@ class TestLoadConfig:
         ec = sl.load_config(write_cfg(tmp_path, body))
         assert ec.sim.plant.name == "double_integrator"
         assert ec.sim.plant.theta2 == -2.0
-        assert ec.sim.gains.theta2_sign == -1.0
+        assert ec.sim.plant.control_view().theta2_sign == -1.0
         assert sl.family_pair(ec.sim.family)[0].name == "logit"
         assert ec.sim.gains.k1 == 0.5
         assert ec.sim.p2_law_sign == -1.0

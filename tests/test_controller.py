@@ -46,10 +46,9 @@ ANY_EST = sl.EstimatorState(1.0, 0.0)
 
 class TestControllerGains:
     @pytest.mark.parametrize("bad", [dict(k1=0.0), dict(k1=-1.0),
-                                     dict(gamma=0.0), dict(alpha=-2.0),
-                                     dict(theta2_sign=0.5)])
+                                     dict(gamma=0.0), dict(alpha=-2.0)])
     def test_validation(self, bad):
-        kw = dict(k1=1.0, gamma=1.0, alpha=1.0, theta2_sign=1.0)
+        kw = dict(k1=1.0, gamma=1.0, alpha=1.0)
         kw.update(bad)
         with pytest.raises(InvalidParams):
             sl.ControllerGains(**kw)
@@ -59,7 +58,7 @@ class TestControllerGains:
         names = {f.name for f in dataclasses.fields(sl.ControllerGains)}
         assert "k2" not in names
         for k1 in (0.25, 1.0, 3.7):
-            g = sl.ControllerGains(k1=k1, gamma=1.0, alpha=1.0, theta2_sign=1.0)
+            g = sl.ControllerGains(k1=k1, gamma=1.0, alpha=1.0)
             assert g.k2 == 1.0 / k1
 
 
@@ -67,7 +66,6 @@ class TestReference:
     def test_lifted_target(self, box, tanh_fam):
         ref = sl.Reference.for_target(-1.9, box, tanh_fam)
         assert ref.x1d == -1.9
-        assert ref.xn1d == pytest.approx(-0.95, rel=1e-15)
         assert ref.z1d == pytest.approx(-E1_T0, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [2.0, -2.0, 2.5, math.nan])
@@ -216,6 +214,18 @@ class TestParameterFirewall:
         traj = sl.run(bench_cfg(t_final=0.01))
         assert _rk4(law, theta, s0, cfg.dt) == (
             traj.x1[1], traj.x2[1], traj.p2_hat[1], traj.theta1_hat[1])
+
+    def test_law_reads_sign_from_shape(self, motor, box, tanh_fam, ref, gains):
+        # sign(theta2) reaches the law only through the PlantShape: flipping
+        # it flips the p2_hat rate and nothing else.
+        plus = sl.compile_law(motor.control_view(), box, tanh_fam, gains, ref)
+        minus = sl.compile_law(dataclasses.replace(motor.control_view(),
+                                                   theta2_sign=-1.0),
+                               box, tanh_fam, gains, ref)
+        s = (0.0, 0.9, 1.0, 0.0)
+        assert plus(*s)[3] == pytest.approx(DP2_T0, rel=1e-14)
+        assert minus(*s)[3] == -plus(*s)[3]
+        assert minus(*s)[:3] + minus(*s)[4:] == plus(*s)[:3] + plus(*s)[4:]
 
     def test_law_refuses_truth_backed_plant(self, motor, box, tanh_fam, ref, gains):
         with pytest.raises(InvalidParams, match="PlantShape"):

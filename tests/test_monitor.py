@@ -52,8 +52,8 @@ class TestLyapunov:
         frame = sl.lift((-1.9, 0.0), box, tanh_fam)
         est = sl.EstimatorState(1.0 / motor.theta2 + 0.3,
                                 motor.theta1 / box.x2_max)
-        g1 = sl.ControllerGains(1.0, 1.0, 1.0, motor.theta2_sign)
-        g2 = sl.ControllerGains(1.0, 2.0, 1.0, motor.theta2_sign)
+        g1 = sl.ControllerGains(1.0, 1.0, 1.0)
+        g2 = sl.ControllerGains(1.0, 2.0, 1.0)
         v1 = sl.lyapunov(tdyn, frame, ref, g1, est)
         v2 = sl.lyapunov(tdyn, frame, ref, g2, est)
         assert v2 == pytest.approx(v1 / 2.0, rel=1e-12)
@@ -74,17 +74,15 @@ class TestVdotAnalytic:
     def test_unit_case(self, gains):
         assert sl.vdot_analytic(1.0, 0.0, gains) == -1.0
 
-    def test_scaled_case(self, motor):
-        g = sl.ControllerGains(k1=4.0, gamma=1.0, alpha=1.0,
-                               theta2_sign=motor.theta2_sign)
+    def test_scaled_case(self):
+        g = sl.ControllerGains(k1=4.0, gamma=1.0, alpha=1.0)
         assert sl.vdot_analytic(0.0, 2.0, g) == pytest.approx(-1.0, rel=1e-15)
 
-    def test_never_positive(self, motor):
+    def test_never_positive(self):
         rng = np.random.default_rng(41)
         for _ in range(100_000):
             k1 = rng.uniform(1e-3, 1e3)
-            g = sl.ControllerGains(k1=k1, gamma=1.0, alpha=1.0,
-                                   theta2_sign=motor.theta2_sign)
+            g = sl.ControllerGains(k1=k1, gamma=1.0, alpha=1.0)
             assert sl.vdot_analytic(rng.normal(0, 10), rng.normal(0, 10), g) <= 0.0
 
 
@@ -182,8 +180,8 @@ def _wide_pair_cfg():
     box = sl.SafeSet(2.0, 2.0)
     fam = (sl.tanh_family(), sl.logit_family())
     return sl.SimConfig(plant=motor, safe_set=box,
-                        gains=sl.ControllerGains(1.0, 1.0, 1.0, motor.theta2_sign),
-                        reference=sl.Reference.for_target(-1.9, box, fam),
+                        gains=sl.ControllerGains(1.0, 1.0, 1.0),
+                        x1d=-1.9,
                         x0=(0.0, 0.9), est0=sl.EstimatorState(1.0, 0.0),
                         family=fam, dt=1e-3, t_final=5.0, p2_law_sign=-1.0)
 
@@ -210,9 +208,9 @@ class TestGeneralBoxAndFamily:
         # Wider speed box exercises the scaling of the drift-estimate target.
         box = sl.SafeSet(2.0, 2.5)
         fam = sl.tanh_family()
-        gains = sl.ControllerGains(1.0, 1.0, 1.0, motor.theta2_sign)
+        gains = sl.ControllerGains(1.0, 1.0, 1.0)
         cfg = sl.SimConfig(plant=motor, safe_set=box, gains=gains,
-                           reference=sl.Reference.for_target(-1.5, box, fam),
+                           x1d=-1.5,
                            x0=(0.0, 0.9), est0=sl.EstimatorState(1.0, 0.0),
                            family=fam, dt=1e-4, t_final=5.0)
         traj = sl.run(cfg)
@@ -224,9 +222,9 @@ class TestGeneralBoxAndFamily:
     def test_logit_family_run_is_certified(self, motor):
         box = sl.SafeSet(2.0, 1.0)
         fam = sl.logit_family()
-        gains = sl.ControllerGains(1.0, 1.0, 1.0, motor.theta2_sign)
+        gains = sl.ControllerGains(1.0, 1.0, 1.0)
         cfg = sl.SimConfig(plant=motor, safe_set=box, gains=gains,
-                           reference=sl.Reference.for_target(-1.9, box, fam),
+                           x1d=-1.9,
                            x0=(0.0, 0.9), est0=sl.EstimatorState(1.0, 0.0),
                            family=fam, dt=1e-3, t_final=5.0)
         cert = sl.certify(sl.run(cfg), cfg)
@@ -236,9 +234,9 @@ class TestGeneralBoxAndFamily:
         plant = sl.double_integrator(-2.0)
         box = sl.SafeSet(1.5, 2.5)
         fam = sl.tanh_family()
-        gains = sl.ControllerGains(1.0, 1.0, 1.0, plant.theta2_sign)
+        gains = sl.ControllerGains(1.0, 1.0, 1.0)
         cfg = sl.SimConfig(plant=plant, safe_set=box, gains=gains,
-                           reference=sl.Reference.for_target(1.0, box, fam),
+                           x1d=1.0,
                            x0=(-0.5, 0.3), est0=sl.EstimatorState(0.5, 0.0),
                            family=fam, dt=1e-3, t_final=10.0)
         cert = sl.certify(sl.run(cfg), cfg)

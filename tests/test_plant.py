@@ -102,6 +102,13 @@ class TestPlantDef:
         assert motor.control_view().g1 is motor.g1
 
 
+class TestPlantShape:
+    @pytest.mark.parametrize("sign", [0.5, 0.0, math.nan])
+    def test_sign_must_be_unit(self, motor, sign):
+        with pytest.raises(InvalidParams, match="theta2_sign"):
+            sl.PlantShape(g1=motor.g1, f2=motor.f2, g2=motor.g2, theta2_sign=sign)
+
+
 class TestCheckAssumptions:
     def test_motor_passes(self, motor, box):
         report = sl.check_assumptions(motor, box, grid_n=21)

@@ -29,15 +29,22 @@ class TestSimConfigValidation:
         (dict(x0=(0.0, math.nan)), "finite"),
         (dict(est0=sl.EstimatorState(0.0, 0.0)), "nonzero"),
         (dict(est0=sl.EstimatorState(math.inf, 0.0)), "finite"),
+        (dict(x1d=-2.5), "strictly inside"),
+        (dict(x1d=2.0), "strictly inside"),
+        # The target is checked against the config's own box, also when only
+        # the box changed.
+        (dict(safe_set=sl.SafeSet(1.5, 1.0)), "strictly inside"),
     ])
     def test_rejections(self, bench_cfg, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             bench_cfg(**overrides)
 
-    def test_sign_mismatch_rejected(self, bench_cfg):
-        wrong = sl.ControllerGains(k1=1.0, gamma=1.0, alpha=1.0, theta2_sign=-1.0)
-        with pytest.raises(ConfigError, match="theta2_sign"):
-            bench_cfg(gains=wrong)
+    def test_reference_follows_box_and_family(self, bench_cfg):
+        cfg = bench_cfg()
+        box, fam = sl.SafeSet(3.0, 1.0), sl.logit_family()
+        moved = dataclasses.replace(cfg, safe_set=box, family=fam)
+        assert moved.reference == sl.Reference.for_target(cfg.x1d, box, fam)
+        assert moved.reference.z1d != cfg.reference.z1d
 
     def test_boundary_start_rejected(self, bench_cfg):
         with pytest.raises(ConfigError):
@@ -126,9 +133,8 @@ class TestRun:
         assert np.all(np.diff(run_plus.t) > 0)
         assert run_plus.t[1] - run_plus.t[0] == pytest.approx(1e-3, rel=1e-12)
 
-    def test_zero_reference_zero_start_stays_at_rest(self, bench_cfg, box, tanh_fam):
-        ref0 = sl.Reference.for_target(0.0, box, tanh_fam)
-        cfg = bench_cfg(reference=ref0, x0=(0.0, 0.0), t_final=1.0)
+    def test_zero_reference_zero_start_stays_at_rest(self, bench_cfg):
+        cfg = bench_cfg(x1d=0.0, x0=(0.0, 0.0), t_final=1.0)
         traj = sl.run(cfg)
         assert np.all(traj.u == 0.0)
         assert np.all(traj.x1 == 0.0)
