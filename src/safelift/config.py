@@ -2,7 +2,8 @@
 
 Flat INI-style text with sections; every run is fully determined by the
 file (no environment lookups), so experiments are reproducible from the
-config alone. Schema:
+config alone. A key left out keeps its default; a section or key not in
+this schema, or a non-empty [DEFAULT] section, is a ConfigError:
 
     [plant]
     type = dc_motor            ; or double_integrator
@@ -44,8 +45,12 @@ config alone. Schema:
     [output]
     directory = out            ; resolved against the working directory
 
-    [certificate]              ; optional threshold overrides
+    [certificate]              ; optional threshold overrides, each
+    lyap_increment_rel = 1e-6  ;  finite and positive
+    vdot_tol = 0.001
+    estimate_bound_factor = 10.0
     tracking_tol = 0.02
+    final_residual_tol = 0.01
 
     [sweep]                    ; optional; comma-separated value lists,
     k1 = 0.5, 1.0, 2.0         ;  rows are the cartesian product in
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .controller import ControllerGains, EstimatorState
@@ -66,7 +71,19 @@ from .monitor import CertThresholds
 from .plant import DcMotorParams, dc_motor, double_integrator
 from .simulator import SimConfig
 
-_SWEEP_KEYS = ("k1", "gamma", "alpha", "x1d", "x1", "x2", "p2_hat", "theta1_hat")
+# The one statement of what an experiment file may hold: section -> keys.
+_KEYS = {
+    "plant": ("type", "J", "b", "R", "Kt", "Kb", "theta"),
+    "safe_set": ("x1_max", "x2_max"),
+    "lifting": ("family", "family2"),
+    "controller": ("k1", "gamma", "alpha", "p2_law_sign"),
+    "reference": ("x1d",),
+    "initial": ("x1", "x2", "p2_hat", "theta1_hat"),
+    "simulation": ("dt", "t_final", "log_stride"),
+    "output": ("directory",),
+    "certificate": tuple(f.name for f in fields(CertThresholds)),
+    "sweep": ("k1", "gamma", "alpha", "x1d", "x1", "x2", "p2_hat", "theta1_hat"),
+}
 
 
 @dataclass
@@ -77,67 +94,48 @@ class ExperimentConfig:
     sweep: dict[str, list[float]] = field(default_factory=dict)
 
 
-def _getfloat(sec, key, default=None):
-    raw = sec.get(key, None)
+def _number(sec, key, default=None, kind=float):
+    raw = sec.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in [{sec.name}]")
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not a number") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not {what}") from None
 
 
-def _build_plant(sec):
-    ptype = sec.get("type", "dc_motor").strip()
-    if ptype == "dc_motor":
-        return dc_motor(DcMotorParams(J=_getfloat(sec, "J", 0.01),
-                                      b=_getfloat(sec, "b", 0.1),
-                                      R=_getfloat(sec, "R", 1.0),
-                                      Kt=_getfloat(sec, "Kt", 0.01),
-                                      Kb=_getfloat(sec, "Kb", 0.01)))
-    if ptype == "double_integrator":
-        return double_integrator(_getfloat(sec, "theta", 1.0))
-    raise ConfigError(f"unknown plant type {ptype!r}; expected dc_motor or "
-                      f"double_integrator")
+def _numbers(sec, *keys, kind=float):
+    """Keyword arguments for the keys the file sets; the rest keep their defaults."""
+    return {key: _number(sec, key, kind=kind) for key in keys if key in sec}
 
 
 def _build_sim(parser) -> SimConfig:
-    def section(name):
-        if not parser.has_section(name):
-            parser.add_section(name)
-        return parser[name]
-
+    psec, lsec, csec, isec, ssec = (parser[name] for name in (
+        "plant", "lifting", "controller", "initial", "simulation"))
     try:
-        plant = _build_plant(section("plant"))
-        safe_set = SafeSet(x1_max=_getfloat(section("safe_set"), "x1_max"),
-                           x2_max=_getfloat(section("safe_set"), "x2_max"))
-        lsec = section("lifting")
-        fam1 = get_family(lsec.get("family", "tanh").strip())
-        family = (fam1, get_family(lsec["family2"].strip())) \
-            if "family2" in lsec else fam1
-        csec = section("controller")
-        gains = ControllerGains(k1=_getfloat(csec, "k1", 1.0),
-                                gamma=_getfloat(csec, "gamma", 1.0),
-                                alpha=_getfloat(csec, "alpha", 1.0))
-        p2_law_sign = _getfloat(csec, "p2_law_sign", 1.0)
-        x1d = _getfloat(section("reference"), "x1d")
-        isec = section("initial")
-        x0 = (_getfloat(isec, "x1", 0.0), _getfloat(isec, "x2", 0.0))
-        est0 = EstimatorState(p2_hat=_getfloat(isec, "p2_hat", 1.0),
-                              theta1_hat=_getfloat(isec, "theta1_hat", 0.0))
-        ssec = section("simulation")
-        stride = ssec.get("log_stride", "1")
-        try:
-            stride = int(stride)
-        except ValueError:
-            raise ConfigError(f"log_stride must be an integer, got {stride!r}") from None
+        ptype = psec.get("type", "dc_motor")
+        if ptype == "dc_motor":
+            plant = dc_motor(DcMotorParams(**_numbers(psec, "J", "b", "R", "Kt", "Kb")))
+        elif ptype == "double_integrator":
+            plant = double_integrator(_number(psec, "theta", 1.0))
+        else:
+            raise ConfigError(f"unknown plant type {ptype!r}; expected dc_motor or "
+                              f"double_integrator")
+        safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
+                           x2_max=_number(parser["safe_set"], "x2_max"))
+        fam1 = get_family(lsec.get("family", "tanh"))
+        family = (fam1, get_family(lsec["family2"])) if "family2" in lsec else fam1
+        gains = ControllerGains(*(_number(csec, k, 1.0) for k in ("k1", "gamma", "alpha")))
+        x0 = (_number(isec, "x1", 0.0), _number(isec, "x2", 0.0))
+        est0 = EstimatorState(_number(isec, "p2_hat", 1.0), _number(isec, "theta1_hat", 0.0))
         return SimConfig(plant=plant, safe_set=safe_set, gains=gains,
-                         x1d=x1d, x0=x0, est0=est0, family=family,
-                         dt=_getfloat(ssec, "dt", 1e-3),
-                         t_final=_getfloat(ssec, "t_final", 30.0),
-                         log_stride=stride, p2_law_sign=p2_law_sign)
+                         x1d=_number(parser["reference"], "x1d"), x0=x0, est0=est0,
+                         family=family, **_numbers(ssec, "dt", "t_final"),
+                         **_numbers(ssec, "log_stride", kind=int),
+                         **_numbers(csec, "p2_law_sign"))
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from None
 
@@ -153,34 +151,36 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] sets {sorted(parser.defaults())} in every section")
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown section [{name}]; allowed: {', '.join(_KEYS)}")
+        allowed = {parser.optionxform(key) for key in _KEYS[name]}
+        for key in parser[name]:
+            if key not in allowed:
+                problem = "not sweepable" if name == "sweep" else "unknown"
+                raise ConfigError(f"[{name}] key {key!r} {problem}; allowed: "
+                                  f"{', '.join(_KEYS[name])}")
+    parser.read_dict({name: {} for name in _KEYS if name not in parser})
+
     sim = _build_sim(parser)
-
-    out_dir = Path("out")
-    if parser.has_section("output") and parser["output"].get("directory"):
-        out_dir = Path(parser["output"]["directory"].strip())
-
-    thresholds = CertThresholds()
-    if parser.has_section("certificate"):
-        try:
-            thresholds = CertThresholds.from_mapping(dict(parser["certificate"]))
-        except (InvalidParams, ValueError) as exc:
-            raise ConfigError(f"bad [certificate] section: {exc}") from None
+    out_dir = Path(parser["output"].get("directory") or "out")
+    try:
+        thresholds = CertThresholds(**_numbers(parser["certificate"],
+                                               *_KEYS["certificate"]))
+    except InvalidParams as exc:
+        raise ConfigError(f"bad [certificate] section: {exc}") from None
 
     sweep: dict[str, list[float]] = {}
-    if parser.has_section("sweep"):
-        for key, raw in parser["sweep"].items():
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"[sweep] key {key!r} not sweepable; "
-                                  f"allowed: {_SWEEP_KEYS}")
-            vals = [v.strip() for v in raw.split(",") if v.strip()]
-            try:
-                sweep[key] = [float(v) for v in vals]
-            except ValueError:
-                raise ConfigError(f"[sweep] {key} = {raw!r} is not a comma list "
-                                  f"of numbers") from None
+    for key, raw in parser["sweep"].items():
+        try:
+            sweep[key] = [float(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"[sweep] {key} = {raw!r} is not a comma list "
+                              f"of numbers") from None
 
-    return ExperimentConfig(sim=sim, out_dir=out_dir, thresholds=thresholds,
-                            sweep=sweep)
+    return ExperimentConfig(sim, out_dir, thresholds, sweep)
 
 
 def apply_overrides(sim: SimConfig, overrides: dict[str, float]) -> SimConfig:

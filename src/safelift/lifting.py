@@ -39,14 +39,14 @@ def _log_cosh(z: float) -> float:
 
 @dataclass(frozen=True)
 class SafeSet:
-    """Origin-symmetric open box of admissible states."""
+    """Origin-symmetric open box of admissible states; bounds finite and positive."""
 
     x1_max: float
     x2_max: float
 
     def __post_init__(self):
-        if not (self.x1_max > 0.0 and self.x2_max > 0.0):
-            raise InvalidParams(f"safe-set bounds must be positive, got "
+        if not all(math.isfinite(b) and b > 0.0 for b in self.bounds):
+            raise InvalidParams(f"safe-set bounds must be finite and positive, got "
                                 f"({self.x1_max}, {self.x2_max})")
 
     def contains(self, x1: float, x2: float) -> bool:

@@ -97,7 +97,8 @@ class CertThresholds:
 
     lyap_increment_rel scales with max(1, V(0)); estimate_bound_factor
     scales with 1 + V(0). vdot_tol covers the finite-difference error of
-    the numeric V rate, so it depends on the log spacing used.
+    the numeric V rate, so it depends on the log spacing used. Every
+    threshold must be finite and positive.
     """
 
     lyap_increment_rel: float = 1e-6
@@ -106,13 +107,11 @@ class CertThresholds:
     tracking_tol: float = 0.02
     final_residual_tol: float = 1e-2
 
-    @classmethod
-    def from_mapping(cls, data: dict) -> "CertThresholds":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidParams(f"unknown certificate thresholds: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+    def __post_init__(self):
+        for f in dc_fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise InvalidParams(f"{f.name} must be finite and positive, got {v}")
 
 
 @dataclass

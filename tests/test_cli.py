@@ -154,6 +154,23 @@ class TestRunCommand:
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("[controller]", "[controler]"),
+        ("[output]", "[certificate]\nlyap_increment_rel = inf\n\n[output]"),
+        ("x1_max = 2.0", "x1_max = inf"),
+    ], ids=["misspelt-section", "infinite-threshold", "infinite-bound"])
+    def test_bad_fig2_edit_is_config_error(self, tmp_path, capsys, old, new):
+        # Each edit is refused when the file loads, before anything is written.
+        with open(FIG2) as fh:
+            text = fh.read()
+        assert old in text
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "cert.txt").exists()
+
     def test_aborted_run_exits_3_with_timestamp(self, tmp_path, capsys):
         body = BASE.replace("x2 = 0.9", "x2 = 0.9\np2_hat = 1e150")
         cfg = write_cfg(tmp_path, body)

@@ -1,10 +1,12 @@
 """Config-file parsing and validation."""
 
+import configparser
 import textwrap
 
 import pytest
 
 import safelift as sl
+from safelift import config as sl_config
 from safelift.config import apply_overrides, sweep_rows
 from safelift.errors import ConfigError, InvalidParams
 
@@ -140,8 +142,6 @@ class TestLoadConfigErrors:
             sl.load_config(write_cfg(tmp_path, body))
 
     def test_zero_initial_gain_estimate(self, tmp_path):
-        body = MINIMAL + "\n[initial]\np2_hat = 0.0\n"
-        # configparser keeps the last assignment; restate the section whole.
         body = MINIMAL.replace("x2 = 0.9", "x2 = 0.9\np2_hat = 0.0")
         with pytest.raises(ConfigError, match="nonzero"):
             sl.load_config(write_cfg(tmp_path, body))
@@ -164,6 +164,27 @@ class TestLoadConfigErrors:
             sl.load_config(write_cfg(tmp_path,
                                      MINIMAL + "[certificate]\nwibble = 1\n"))
 
+    @pytest.mark.parametrize("extra, match", [
+        ("[controler]\nk1 = 2.0\n", r"unknown section \[controler\]"),
+        ("[controller]\ngama = 2.0\n", r"\[controller\] key 'gama' unknown"),
+        ("[controller]\ndt = 0.002\n", r"\[controller\] key 'dt' unknown"),
+        ("[DEFAULT]\ndt = 0.002\n", r"\[DEFAULT\]"),
+        ("[initial]\np2_hat = 0.0\n", "cannot parse"),
+    ], ids=["misspelt-section", "misspelt-key", "key-in-wrong-section",
+            "default-section", "duplicate-section"])
+    def test_unknown_or_repeated_section_or_key(self, tmp_path, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            sl.load_config(write_cfg(tmp_path, MINIMAL + extra))
+
+    @pytest.mark.parametrize("threshold", [
+        "lyap_increment_rel = inf", "vdot_tol = nan", "tracking_tol = -1",
+        "final_residual_tol = 0",
+    ])
+    def test_threshold_must_be_finite_and_positive(self, tmp_path, threshold):
+        body = MINIMAL + f"[certificate]\n{threshold}\n"
+        with pytest.raises(ConfigError, match=r"bad \[certificate\] section"):
+            sl.load_config(write_cfg(tmp_path, body))
+
     def test_bad_p2_law_sign(self, tmp_path):
         body = MINIMAL + "[controller]\np2_law_sign = 0.5\n"
         with pytest.raises(ConfigError, match="p2_law_sign"):
@@ -179,6 +200,21 @@ class TestLoadConfigErrors:
         body = MINIMAL + f"[plant]\n{plant}\n"
         with pytest.raises(ConfigError, match=match):
             sl.load_config(write_cfg(tmp_path, body))
+
+
+def test_docstring_schema_loads_and_matches_keys(tmp_path):
+    # The module docstring is the schema's documentation: it must load, and
+    # name every key the file may hold (sweep keys aside), and no other.
+    doc = sl_config.__doc__
+    block = textwrap.dedent(doc[doc.index("    [plant]"):])
+    sl.load_config(write_cfg(tmp_path, block))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(block)
+    documented = {(name, key) for name in parser.sections() for key in parser[name]}
+    allowed = {(name, parser.optionxform(key))
+               for name, keys in sl_config._KEYS.items() for key in keys}
+    assert documented <= allowed
+    assert {(name, key) for name, key in allowed if name != "sweep"} <= documented
 
 
 class TestSweep:

@@ -28,6 +28,11 @@ class TestSafeSet:
         with pytest.raises(InvalidParams):
             sl.SafeSet(*bounds)
 
+    @pytest.mark.parametrize("bounds", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_nonfinite_bounds(self, bounds):
+        with pytest.raises(InvalidParams, match="finite"):
+            sl.SafeSet(*bounds)
+
 
 class TestTanhFamily:
     def test_fixed_points_and_reference_values(self, tanh_fam):
