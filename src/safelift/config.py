@@ -6,13 +6,12 @@ config alone. A key left out keeps its default; a section or key not in
 this schema, or a non-empty [DEFAULT] section, is a ConfigError:
 
     [plant]
-    type = dc_motor            ; or double_integrator
+    type = dc_motor            ; or double_integrator, below
     J = 0.01                   ; dc_motor constants (all optional,
     b = 0.1                    ;  these defaults shown)
     R = 1.0
     Kt = 0.01
     Kb = 0.01
-    theta = 1.0                ; double_integrator input gain
 
     [safe_set]
     x1_max = 2.0
@@ -55,6 +54,12 @@ this schema, or a non-empty [DEFAULT] section, is a ConfigError:
     [sweep]                    ; optional; comma-separated value lists,
     k1 = 0.5, 1.0, 2.0         ;  rows are the cartesian product in
     x1d = -1.9, 1.0            ;  declaration order
+
+A double_integrator plant takes its input gain and no dc_motor constant:
+
+    [plant]
+    type = double_integrator
+    theta = 1.0                ; optional, this default shown
 """
 
 from __future__ import annotations
@@ -71,9 +76,13 @@ from .monitor import CertThresholds
 from .plant import DcMotorParams, dc_motor, double_integrator
 from .simulator import SimConfig
 
+# The [plant] constants each plant type takes.
+_PLANT_KEYS = {"dc_motor": tuple(f.name for f in fields(DcMotorParams)),
+               "double_integrator": ("theta",)}
+
 # The one statement of what an experiment file may hold: section -> keys.
 _KEYS = {
-    "plant": ("type", "J", "b", "R", "Kt", "Kb", "theta"),
+    "plant": ("type", *itertools.chain(*_PLANT_KEYS.values())),
     "safe_set": ("x1_max", "x2_max"),
     "lifting": ("family", "family2"),
     "controller": ("k1", "gamma", "alpha", "p2_law_sign"),
@@ -117,13 +126,16 @@ def _build_sim(parser) -> SimConfig:
         "plant", "lifting", "controller", "initial", "simulation"))
     try:
         ptype = psec.get("type", "dc_motor")
+        if ptype not in _PLANT_KEYS:
+            raise ConfigError(f"unknown plant type {ptype!r}; expected "
+                              f"{' or '.join(_PLANT_KEYS)}")
+        for key in _KEYS["plant"][1:]:
+            if key in psec and key not in _PLANT_KEYS[ptype]:
+                raise ConfigError(f"[plant] key {key!r} does not apply to type {ptype}")
         if ptype == "dc_motor":
-            plant = dc_motor(DcMotorParams(**_numbers(psec, "J", "b", "R", "Kt", "Kb")))
-        elif ptype == "double_integrator":
-            plant = double_integrator(_number(psec, "theta", 1.0))
+            plant = dc_motor(DcMotorParams(**_numbers(psec, *_PLANT_KEYS[ptype])))
         else:
-            raise ConfigError(f"unknown plant type {ptype!r}; expected dc_motor or "
-                              f"double_integrator")
+            plant = double_integrator(_number(psec, "theta", 1.0))
         safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
                            x2_max=_number(parser["safe_set"], "x2_max"))
         fam1 = get_family(lsec.get("family", "tanh"))
@@ -185,6 +197,11 @@ def load_config(path) -> ExperimentConfig:
 
 def apply_overrides(sim: SimConfig, overrides: dict[str, float]) -> SimConfig:
     """Rebuild a SimConfig with sweep overrides applied (and revalidated)."""
+    for key in overrides:
+        if key not in _KEYS["sweep"]:
+            raise ConfigError(f"override key {key!r} not sweepable; allowed: "
+                              f"{', '.join(_KEYS['sweep'])}")
+
     def pick(*keys):
         return {k: overrides[k] for k in keys if k in overrides}
 

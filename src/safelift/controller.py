@@ -37,7 +37,7 @@ true parameter values: the firewall is the argument type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (DomainViolation, InvalidParams, NonFiniteInput,
                      SingularityDetected)
@@ -60,12 +60,10 @@ class ControllerGains:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k1) and self.k1 > 0.0):
-            raise InvalidParams(f"k1 must be positive, got {self.k1}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidParams(f"gamma must be positive, got {self.gamma}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidParams(f"alpha must be positive, got {self.alpha}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise InvalidParams(f"{f.name} must be positive, got {v}")
 
     @property
     def k2(self) -> float:

@@ -114,33 +114,44 @@ class CertThresholds:
                 raise InvalidParams(f"{f.name} must be finite and positive, got {v}")
 
 
+def _pass_fail(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
 @dataclass
 class Certificate:
     """Checked facts about one trajectory, with the evidence attached.
 
     Pass/fail applies to safety, Lyapunov monotonicity, and estimate
     boundedness (plus run completion); the remaining entries are measured
-    values recorded for inspection against the thresholds.
+    values recorded for inspection against the thresholds. certify fills
+    each field once; a value the run did not get to measure keeps its
+    default: nan, a failed check, or no violation time.
     """
 
-    completed: bool
     failure: Optional[str]
-    v0: float
-    safe_invariance: bool
-    first_violation_time: Optional[float]
-    lyapunov_monotone: bool
-    worst_v_increment: float
-    vdot_identity_error: float
-    estimates_bounded: bool
-    sup_p2_hat: float
-    sup_theta1_hat: float
-    tracking_error_final: float
-    final_e1: float
-    final_e2: float
-    final_u: float
-    final_z2: float
-    equilibrium_residual: float
     thresholds: CertThresholds
+    v0: float = math.nan
+    safe_invariance: bool = False
+    first_violation_time: Optional[float] = None
+    lyapunov_monotone: bool = False
+    worst_v_increment: float = math.nan
+    lyap_increment_allowance: float = math.nan
+    vdot_identity_error: float = math.nan
+    estimates_bounded: bool = False
+    sup_p2_hat: float = math.nan
+    sup_theta1_hat: float = math.nan
+    estimate_allowance: float = math.nan
+    tracking_error_final: float = math.nan
+    final_e1: float = math.nan
+    final_e2: float = math.nan
+    final_u: float = math.nan
+    final_z2: float = math.nan
+    equilibrium_residual: float = math.nan
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
 
     @property
     def all_pass(self) -> bool:
@@ -149,23 +160,22 @@ class Certificate:
 
     def to_report(self) -> str:
         th = self.thresholds
-        yn = lambda b: "pass" if b else "FAIL"
         opt = lambda v: "none" if v is None else f"{v:.15g}"
         lines = [
             f"completed = {self.completed}",
             f"failure = {self.failure or 'none'}",
             f"v0 = {self.v0:.15g}",
-            f"safe_invariance = {yn(self.safe_invariance)}",
+            f"safe_invariance = {_pass_fail(self.safe_invariance)}",
             f"first_violation_time = {opt(self.first_violation_time)}",
-            f"lyapunov_monotone = {yn(self.lyapunov_monotone)}",
+            f"lyapunov_monotone = {_pass_fail(self.lyapunov_monotone)}",
             f"worst_v_increment = {self.worst_v_increment:.15g}",
-            f"lyap_increment_allowance = {th.lyap_increment_rel * max(1.0, self.v0):.15g}",
+            f"lyap_increment_allowance = {self.lyap_increment_allowance:.15g}",
             f"vdot_identity_error = {self.vdot_identity_error:.15g}",
             f"vdot_tol = {th.vdot_tol:.15g}",
-            f"estimates_bounded = {yn(self.estimates_bounded)}",
+            f"estimates_bounded = {_pass_fail(self.estimates_bounded)}",
             f"sup_p2_hat = {self.sup_p2_hat:.15g}",
             f"sup_theta1_hat = {self.sup_theta1_hat:.15g}",
-            f"estimate_allowance = {th.estimate_bound_factor * (1.0 + self.v0):.15g}",
+            f"estimate_allowance = {self.estimate_allowance:.15g}",
             f"tracking_error_final = {self.tracking_error_final:.15g}",
             f"tracking_tol = {th.tracking_tol:.15g}",
             f"final_e1 = {self.final_e1:.15g}",
@@ -174,7 +184,7 @@ class Certificate:
             f"final_z2 = {self.final_z2:.15g}",
             f"final_residual_tol = {th.final_residual_tol:.15g}",
             f"equilibrium_residual = {self.equilibrium_residual:.15g}",
-            f"all_pass = {yn(self.all_pass)}",
+            f"all_pass = {_pass_fail(self.all_pass)}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -186,71 +196,47 @@ class Certificate:
 def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certificate:
     """Evaluate every certificate check on a (possibly partial) trajectory."""
     th = thresholds or CertThresholds()
-    nan = float("nan")
-    failure = None if traj.failure is None else \
-        f"{traj.failure.kind} at t={traj.failure.time:.6g}: {traj.failure.message}"
+    fail = traj.failure
+    cert = Certificate(failure=None if fail is None else
+                       f"{fail.kind} at t={fail.time:.6g}: {fail.message}", thresholds=th)
+    if fail is not None:
+        cert.first_violation_time = fail.time
     if len(traj) == 0:
-        # Failed before the first sample could be logged.
-        return Certificate(
-            completed=False, failure=failure, v0=nan, safe_invariance=False,
-            first_violation_time=None if traj.failure is None else traj.failure.time,
-            lyapunov_monotone=False, worst_v_increment=nan,
-            vdot_identity_error=nan, estimates_bounded=False,
-            sup_p2_hat=nan, sup_theta1_hat=nan, tracking_error_final=nan,
-            final_e1=nan, final_e2=nan, final_u=nan, final_z2=nan,
-            equilibrium_residual=nan, thresholds=th)
-    v0 = float(traj.v[0])
-
-    if traj.failure is not None:
-        safe = False
-        first_violation = traj.failure.time
-    else:
-        ok = bool(np.all(traj.in_safe_set))
-        safe = ok and traj.completed
-        first_violation = None
-        if not ok:
-            first_violation = float(traj.t[int(np.argmin(traj.in_safe_set))])
+        # The first law call failed, so nothing was logged and V(0) is
+        # unknown: the increment allowance falls back to its floor.
+        cert.lyap_increment_allowance = th.lyap_increment_rel
+        return cert
+    cert.v0 = float(traj.v[0])
+    if fail is None:
+        cert.safe_invariance = bool(np.all(traj.in_safe_set))
+        if not cert.safe_invariance:
+            cert.first_violation_time = float(traj.t[int(np.argmin(traj.in_safe_set))])
 
     increments = np.diff(traj.v)
-    worst_inc = float(increments.max()) if len(increments) else 0.0
-    monotone = worst_inc < th.lyap_increment_rel * max(1.0, v0)
+    cert.worst_v_increment = float(increments.max()) if len(increments) else 0.0
+    cert.lyap_increment_allowance = th.lyap_increment_rel * max(1.0, cert.v0)
+    cert.lyapunov_monotone = cert.worst_v_increment < cert.lyap_increment_allowance
+    cert.vdot_identity_error = float(np.max(np.abs(traj.vdot_numeric - traj.vdot_analytic)))
 
-    vdot_err = float(np.max(np.abs(traj.vdot_numeric - traj.vdot_analytic))) \
-        if len(traj.v) else float("nan")
+    cert.sup_p2_hat = float(np.max(np.abs(traj.p2_hat)))
+    cert.sup_theta1_hat = float(np.max(np.abs(traj.theta1_hat)))
+    cert.estimate_allowance = th.estimate_bound_factor * (1.0 + cert.v0)
+    # Two comparisons, not max(...) < allowance: a NaN must fail the check.
+    cert.estimates_bounded = (cert.sup_p2_hat < cert.estimate_allowance
+                              and cert.sup_theta1_hat < cert.estimate_allowance)
 
-    sup_p2 = float(np.max(np.abs(traj.p2_hat)))
-    sup_th1 = float(np.max(np.abs(traj.theta1_hat)))
-    bound = th.estimate_bound_factor * (1.0 + v0)
-    bounded = sup_p2 < bound and sup_th1 < bound
-
-    tracking = float(abs(traj.x1[-1] - cfg.x1d))
+    cert.tracking_error_final = float(abs(traj.x1[-1] - cfg.x1d))
+    cert.final_e1 = float(traj.e1[-1])
+    cert.final_e2 = float(traj.e2[-1])
+    cert.final_u = float(traj.u[-1])
+    cert.final_z2 = float(traj.z2[-1])
 
     law, (th1, th2) = cfg._law
     z1, z2 = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family).z
     dz1, phi, psi, dp2, dth1 = lifted_stage(law, cfg.safe_set, cfg.family)(
         z1, z2, float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
-    residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
-
-    return Certificate(
-        completed=traj.completed,
-        failure=failure,
-        v0=v0,
-        safe_invariance=safe,
-        first_violation_time=first_violation,
-        lyapunov_monotone=monotone,
-        worst_v_increment=worst_inc,
-        vdot_identity_error=vdot_err,
-        estimates_bounded=bounded,
-        sup_p2_hat=sup_p2,
-        sup_theta1_hat=sup_th1,
-        tracking_error_final=tracking,
-        final_e1=float(traj.e1[-1]),
-        final_e2=float(traj.e2[-1]),
-        final_u=float(traj.u[-1]),
-        final_z2=float(traj.z2[-1]),
-        equilibrium_residual=float(residual),
-        thresholds=th,
-    )
+    cert.equilibrium_residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
+    return cert
 
 
 @dataclass
@@ -261,26 +247,19 @@ class SignAdjudication:
     minus: Certificate
     recommended_sign: float
 
+    # The certificate fields compared side by side, in report order.
+    ROWS = ("lyapunov_monotone", "worst_v_increment", "vdot_identity_error",
+            "tracking_error_final", "safe_invariance", "estimates_bounded",
+            "sup_p2_hat")
+
     def to_report(self) -> str:
-        rows = [
-            ("", "p2_law_sign=+1", "p2_law_sign=-1"),
-            ("lyapunov_monotone",
-             "pass" if self.plus.lyapunov_monotone else "FAIL",
-             "pass" if self.minus.lyapunov_monotone else "FAIL"),
-            ("worst_v_increment",
-             f"{self.plus.worst_v_increment:.3e}", f"{self.minus.worst_v_increment:.3e}"),
-            ("vdot_identity_error",
-             f"{self.plus.vdot_identity_error:.3e}", f"{self.minus.vdot_identity_error:.3e}"),
-            ("tracking_error_final",
-             f"{self.plus.tracking_error_final:.3e}", f"{self.minus.tracking_error_final:.3e}"),
-            ("safe_invariance",
-             "pass" if self.plus.safe_invariance else "FAIL",
-             "pass" if self.minus.safe_invariance else "FAIL"),
-            ("estimates_bounded",
-             "pass" if self.plus.estimates_bounded else "FAIL",
-             "pass" if self.minus.estimates_bounded else "FAIL"),
-            ("sup_p2_hat", f"{self.plus.sup_p2_hat:.3e}", f"{self.minus.sup_p2_hat:.3e}"),
-        ]
+        def cell(cert, name):
+            v = getattr(cert, name)
+            return _pass_fail(v) if isinstance(v, bool) else f"{v:.3e}"
+
+        rows = [("", "p2_law_sign=+1", "p2_law_sign=-1")]
+        rows += [(name, cell(self.plus, name), cell(self.minus, name))
+                 for name in self.ROWS]
         width = max(len(r[0]) for r in rows) + 2
         out = ["p2_hat update-sign adjudication (same scenario, both laws):"]
         for name, a, b in rows:
@@ -299,8 +278,9 @@ def adjudicate_p2_sign(cfg, thresholds: Optional[CertThresholds] = None) -> Sign
     """
     from .simulator import run
 
-    plus = certify(run(cfg.with_sign(+1.0)), cfg.with_sign(+1.0), thresholds)
-    minus = certify(run(cfg.with_sign(-1.0)), cfg.with_sign(-1.0), thresholds)
+    plus_cfg, minus_cfg = cfg.with_sign(+1.0), cfg.with_sign(-1.0)
+    plus = certify(run(plus_cfg), plus_cfg, thresholds)
+    minus = certify(run(minus_cfg), minus_cfg, thresholds)
     if plus.lyapunov_monotone or not minus.lyapunov_monotone:
         rec = 1.0
     else:

@@ -19,7 +19,7 @@ Structural assumptions, checkable by grid sampling:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -103,10 +103,10 @@ class DcMotorParams:
     Kb: float = 0.01
 
     def __post_init__(self):
-        for fname in ("J", "b", "R", "Kt", "Kb"):
-            v = getattr(self, fname)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParams(f"DC motor parameter {fname} must be positive, got {v}")
+                raise InvalidParams(f"DC motor parameter {f.name} must be positive, got {v}")
 
     @property
     def theta1(self) -> float:

@@ -151,11 +151,14 @@ class Trajectory:
     vdot_analytic: np.ndarray
     vdot_numeric: np.ndarray
     in_safe_set: np.ndarray
-    completed: bool
     failure: Optional[RunFailure]
 
     CSV_HEADER = ("t,x1,x2,z1,z2,e1,e2,u,p2_hat,theta1_hat,"
                   "V,Vdot_num,Vdot_analytic")
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -355,7 +358,7 @@ def run(cfg: SimConfig) -> Trajectory:
         v=cols[8], vdot_analytic=vdot_analytic(cols[5], cols[6], cfg.gains),
         vdot_numeric=vdot_num,
         in_safe_set=(np.abs(cols[1]) < xb1) & (np.abs(cols[2]) < xb2),
-        completed=failure is None, failure=failure)
+        failure=failure)
 
 
 @dataclass

@@ -158,7 +158,9 @@ class TestRunCommand:
         ("[controller]", "[controler]"),
         ("[output]", "[certificate]\nlyap_increment_rel = inf\n\n[output]"),
         ("x1_max = 2.0", "x1_max = inf"),
-    ], ids=["misspelt-section", "infinite-threshold", "infinite-bound"])
+        ("type = dc_motor", "type = double_integrator"),
+    ], ids=["misspelt-section", "infinite-threshold", "infinite-bound",
+            "dc-motor-constants-on-double-integrator"])
     def test_bad_fig2_edit_is_config_error(self, tmp_path, capsys, old, new):
         # Each edit is refused when the file loads, before anything is written.
         with open(FIG2) as fh:

@@ -1,6 +1,7 @@
 """Config-file parsing and validation."""
 
 import configparser
+import re
 import textwrap
 
 import pytest
@@ -127,6 +128,16 @@ class TestLoadConfigErrors:
         with pytest.raises(ConfigError, match="unknown plant type"):
             sl.load_config(write_cfg(tmp_path, MINIMAL + "[plant]\ntype = cart\n"))
 
+    @pytest.mark.parametrize("ptype, key, value", [
+        ("double_integrator", "J", "5"),
+        ("double_integrator", "Kt", "7"),
+        ("dc_motor", "theta", "2"),
+    ])
+    def test_constant_of_other_plant_type(self, tmp_path, ptype, key, value):
+        body = MINIMAL + f"[plant]\ntype = {ptype}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"'{key}' does not apply to type {ptype}"):
+            sl.load_config(write_cfg(tmp_path, body))
+
     def test_unknown_family(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown lifting family"):
             sl.load_config(write_cfg(tmp_path, MINIMAL + "[lifting]\nfamily = erf\n"))
@@ -203,14 +214,21 @@ class TestLoadConfigErrors:
 
 
 def test_docstring_schema_loads_and_matches_keys(tmp_path):
-    # The module docstring is the schema's documentation: it must load, and
-    # name every key the file may hold (sweep keys aside), and no other.
+    # The module docstring is the schema's documentation: the dc_motor block
+    # and its double_integrator variant must each load, and together name
+    # every key the file may hold (sweep keys aside), and no other.
     doc = sl_config.__doc__
-    block = textwrap.dedent(doc[doc.index("    [plant]"):])
-    sl.load_config(write_cfg(tmp_path, block))
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(block)
-    documented = {(name, key) for name in parser.sections() for key in parser[name]}
+    start, variant = doc.index("    [plant]"), doc.rindex("    [plant]")
+    # The main block ends at the first unindented line (the variant's prose).
+    block = textwrap.dedent(re.split(r"\n(?=\S)", doc[start:variant])[0])
+    di_block = textwrap.dedent(doc[variant:]) + block[block.index("[safe_set]"):]
+    documented, plants = set(), []
+    for text in (block, di_block):
+        plants.append(sl.load_config(write_cfg(tmp_path, text)).sim.plant.name)
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(text)
+        documented |= {(name, key) for name in parser.sections() for key in parser[name]}
+    assert plants == ["dc_motor", "double_integrator"]
     allowed = {(name, parser.optionxform(key))
                for name, keys in sl_config._KEYS.items() for key in keys}
     assert documented <= allowed
@@ -247,3 +265,11 @@ class TestSweep:
             apply_overrides(ec.sim, {"x1d": 5.0})
         with pytest.raises(ConfigError):
             apply_overrides(ec.sim, {"x2": 1.0})
+
+    @pytest.mark.parametrize("overrides", [{"gama": 5.0, "dt": 0.5}, {"dt": 0.5}])
+    def test_apply_overrides_refuses_unsweepable_keys(self, overrides):
+        # The same refusal load_config makes for a [sweep] key; before, the
+        # key was dropped and the config came back unchanged.
+        sim = sl.load_config("configs/dc_motor_certified.cfg").sim
+        with pytest.raises(ConfigError, match="not sweepable"):
+            apply_overrides(sim, overrides)

@@ -16,6 +16,20 @@ from safelift.errors import InvalidParams
 V0_BENCH = 57.441257570906908
 E1_T0 = 3.663561646129646427
 
+# The pinned cert.txt keys, in order; every run reports all of them.
+CERT_KEYS = [
+    "completed", "failure", "v0", "safe_invariance", "first_violation_time",
+    "lyapunov_monotone", "worst_v_increment", "lyap_increment_allowance",
+    "vdot_identity_error", "vdot_tol", "estimates_bounded", "sup_p2_hat",
+    "sup_theta1_hat", "estimate_allowance", "tracking_error_final",
+    "tracking_tol", "final_e1", "final_e2", "final_u", "final_z2",
+    "final_residual_tol", "equilibrium_residual", "all_pass",
+]
+
+
+def _report_items(cert):
+    return [tuple(line.split(" = ", 1)) for line in cert.to_report().splitlines()]
+
 
 @pytest.fixture(scope="module")
 def tdyn(motor, box, tanh_fam):
@@ -129,6 +143,39 @@ class TestCertify:
         assert not cert.all_pass
         assert math.isnan(cert.v0)
 
+    @pytest.mark.parametrize("p2_hat0", [1.0, 1e150, 1e308],
+                             ids=["completed", "aborted", "empty"])
+    def test_report_keys_are_pinned(self, bench_cfg, p2_hat0):
+        cfg = bench_cfg(est0=sl.EstimatorState(p2_hat0, 0.0), t_final=1.0)
+        items = _report_items(sl.certify(sl.run(cfg), cfg))
+        assert [key for key, _ in items] == CERT_KEYS
+
+    def test_empty_run_reports_unmeasured_values(self, bench_cfg):
+        # Nothing was logged: every measured value reads nan or FAIL; the
+        # thresholds, and the allowance floor rel * 1, are still stated.
+        cfg = bench_cfg(est0=sl.EstimatorState(1e308, 0.0), t_final=1.0)
+        report = dict(_report_items(sl.certify(sl.run(cfg), cfg)))
+        assert report.pop("failure").startswith("NonFiniteInput at t=0: ")
+        assert report == {
+            "completed": "False", "v0": "nan", "safe_invariance": "FAIL",
+            "first_violation_time": "0", "lyapunov_monotone": "FAIL",
+            "worst_v_increment": "nan", "lyap_increment_allowance": "1e-06",
+            "vdot_identity_error": "nan", "vdot_tol": "0.001",
+            "estimates_bounded": "FAIL", "sup_p2_hat": "nan",
+            "sup_theta1_hat": "nan", "estimate_allowance": "nan",
+            "tracking_error_final": "nan", "tracking_tol": "0.02",
+            "final_e1": "nan", "final_e2": "nan", "final_u": "nan",
+            "final_z2": "nan", "final_residual_tol": "0.01",
+            "equilibrium_residual": "nan", "all_pass": "FAIL",
+        }
+
+    def test_unmeasured_defaults_read_nan_none_or_fail(self):
+        cert = sl.Certificate(failure="stopped", thresholds=sl.CertThresholds())
+        measured = [(key, value) for key, value in _report_items(cert)
+                    if key not in ("completed", "failure") and not key.endswith("_tol")]
+        assert {value for _, value in measured} == {"nan", "none", "FAIL"}
+        assert dict(measured)["first_violation_time"] == "none"
+
     def test_report_is_flat_key_value_text(self, run_plus, bench_cfg, tmp_path):
         cert = sl.certify(run_plus, bench_cfg())
         text = cert.to_report()
@@ -160,6 +207,20 @@ class TestCertify:
         cfg = bench_cfg(t_final=0.05)
         sl.certify(sl.run(cfg), cfg)
         assert len(calls) == 1
+
+    def test_adjudication_compiles_each_signed_law_once(self, bench_cfg, monkeypatch):
+        # Each sign's config is built once, so run and certify share its law.
+        calls = []
+        original = sl.compile_law
+
+        def counting_compile_law(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "compile_law", counting_compile_law)
+        monkeypatch.setattr(controller, "compile_law", counting_compile_law)
+        sl.adjudicate_p2_sign(bench_cfg(t_final=0.05))
+        assert [args[-1] for args in calls] == [1.0, -1.0]
 
 
 def _oracle_residual(traj, cfg):
