@@ -19,8 +19,7 @@ from .plant import (AssumptionReport, DcMotorParams, PlantDef, PlantShape,
 from .lifted_dynamics import LiftedDynamics
 from .controller import (ControllerGains, ControllerSignals, EstimatorState,
                          Reference, compile_law, evaluate)
-from .simulator import (LiftedRun, RunFailure, SimConfig, Trajectory, run,
-                        run_lifted, step)
+from .simulator import LiftedRun, SimConfig, Trajectory, run, run_lifted, step
 from .monitor import (CertThresholds, Certificate, SignAdjudication,
                       adjudicate_p2_sign, certify, lyapunov, vdot_analytic)
 from .config import ExperimentConfig, apply_overrides, load_config, sweep_rows
@@ -36,7 +35,7 @@ __all__ = [
     "LiftedDynamics", "LiftedRun", "run_lifted",
     "ControllerGains", "ControllerSignals", "EstimatorState", "Reference",
     "compile_law", "evaluate",
-    "SimConfig", "Trajectory", "RunFailure", "run", "step",
+    "SimConfig", "Trajectory", "run", "step",
     "Certificate", "CertThresholds", "SignAdjudication",
     "lyapunov", "vdot_analytic", "certify", "adjudicate_p2_sign",
     "ExperimentConfig", "load_config", "apply_overrides", "sweep_rows",

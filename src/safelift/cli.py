@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify, estimate_targets
@@ -37,13 +37,6 @@ from .simulator import run as run_sim, write_csvs
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_RUNTIME = 3
-
-
-def _package_version() -> str:
-    try:
-        return pkg_version("safelift")
-    except PackageNotFoundError:
-        return "0.1.0+uninstalled"
 
 
 def _estimation_errors(traj, plant, safe_set):
@@ -116,7 +109,7 @@ def _cmd_run(args) -> int:
                 (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
                  (traj.t, *errors))])
     cert.write(out_dir / "cert.txt")
-    if args.svg:
+    if args.svg and len(traj):
         _render_svg(out_dir / "states_input.svg", "states and control input",
                     traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
         _, _, th1_log, p2_log = errors
@@ -124,9 +117,10 @@ def _cmd_run(args) -> int:
                     "log10 parameter estimation errors",
                     traj.t, [("log10|theta1 err|", th1_log), ("log10|p2 err|", p2_log)])
 
-    if traj.failure is not None:
-        print(f"simulation aborted at t={traj.failure.time:.6g}: "
-              f"{traj.failure.kind}: {traj.failure.message}", file=sys.stderr)
+    fail = traj.failure
+    if fail is not None:
+        print(f"simulation aborted at t={fail.time:.6g}: {fail.kind}: {fail.cause}",
+              file=sys.stderr)
         print(f"partial artifacts written to {out_dir}", file=sys.stderr)
         return _EXIT_RUNTIME
     print(f"run complete: {len(traj.t)} samples over {traj.t[-1]:.6g} s, "
@@ -155,8 +149,8 @@ def _cmd_sweep(args) -> int:
         traj = run_sim(sim)
         cert = certify(traj, sim, ec.thresholds)
         status = "ok" if traj.completed else "runtime-violation"
-        detail = "" if traj.failure is None else \
-            f"{traj.failure.kind} at t={traj.failure.time:.6g}".replace(",", ";")
+        fail = traj.failure
+        detail = "" if fail is None else f"{fail.kind} at t={fail.time:.6g}".replace(",", ";")
         rows.append(f"{i},{label},{status},{cert.tracking_error_final:.15g},"
                     f"{cert.worst_v_increment:.15g},"
                     f"{'yes' if cert.safe_invariance else 'no'},"
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(fn=_cmd_check_assumptions)
 
     p_ver = sub.add_parser("version", help="print the package version")
-    p_ver.set_defaults(fn=lambda args: (print(f"safelift {_package_version()}"),
+    p_ver.set_defaults(fn=lambda args: (print(f"safelift {__version__}"),
                                         _EXIT_OK)[1])
     return parser
 

@@ -124,32 +124,29 @@ def _numbers(sec, *keys, kind=float):
 def _build_sim(parser) -> SimConfig:
     psec, lsec, csec, isec, ssec = (parser[name] for name in (
         "plant", "lifting", "controller", "initial", "simulation"))
-    try:
-        ptype = psec.get("type", "dc_motor")
-        if ptype not in _PLANT_KEYS:
-            raise ConfigError(f"unknown plant type {ptype!r}; expected "
-                              f"{' or '.join(_PLANT_KEYS)}")
-        for key in _KEYS["plant"][1:]:
-            if key in psec and key not in _PLANT_KEYS[ptype]:
-                raise ConfigError(f"[plant] key {key!r} does not apply to type {ptype}")
-        if ptype == "dc_motor":
-            plant = dc_motor(DcMotorParams(**_numbers(psec, *_PLANT_KEYS[ptype])))
-        else:
-            plant = double_integrator(_number(psec, "theta", 1.0))
-        safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
-                           x2_max=_number(parser["safe_set"], "x2_max"))
-        fam1 = get_family(lsec.get("family", "tanh"))
-        family = (fam1, get_family(lsec["family2"])) if "family2" in lsec else fam1
-        gains = ControllerGains(*(_number(csec, k, 1.0) for k in ("k1", "gamma", "alpha")))
-        x0 = (_number(isec, "x1", 0.0), _number(isec, "x2", 0.0))
-        est0 = EstimatorState(_number(isec, "p2_hat", 1.0), _number(isec, "theta1_hat", 0.0))
-        return SimConfig(plant=plant, safe_set=safe_set, gains=gains,
-                         x1d=_number(parser["reference"], "x1d"), x0=x0, est0=est0,
-                         family=family, **_numbers(ssec, "dt", "t_final"),
-                         **_numbers(ssec, "log_stride", kind=int),
-                         **_numbers(csec, "p2_law_sign"))
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from None
+    ptype = psec.get("type", "dc_motor")
+    if ptype not in _PLANT_KEYS:
+        raise ConfigError(f"unknown plant type {ptype!r}; expected "
+                          f"{' or '.join(_PLANT_KEYS)}")
+    for key in _KEYS["plant"][1:]:
+        if key in psec and key not in _PLANT_KEYS[ptype]:
+            raise ConfigError(f"[plant] key {key!r} does not apply to type {ptype}")
+    if ptype == "dc_motor":
+        plant = dc_motor(DcMotorParams(**_numbers(psec, *_PLANT_KEYS[ptype])))
+    else:
+        plant = double_integrator(_number(psec, "theta", 1.0))
+    safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
+                       x2_max=_number(parser["safe_set"], "x2_max"))
+    fam1 = get_family(lsec.get("family", "tanh"))
+    family = (fam1, get_family(lsec["family2"])) if "family2" in lsec else fam1
+    gains = ControllerGains(*(_number(csec, k, 1.0) for k in ("k1", "gamma", "alpha")))
+    x0 = (_number(isec, "x1", 0.0), _number(isec, "x2", 0.0))
+    est0 = EstimatorState(_number(isec, "p2_hat", 1.0), _number(isec, "theta1_hat", 0.0))
+    return SimConfig(plant=plant, safe_set=safe_set, gains=gains,
+                     x1d=_number(parser["reference"], "x1d"), x0=x0, est0=est0,
+                     family=family, **_numbers(ssec, "dt", "t_final"),
+                     **_numbers(ssec, "log_stride", kind=int),
+                     **_numbers(csec, "p2_law_sign"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -188,6 +185,8 @@ def load_config(path) -> ExperimentConfig:
     for key, raw in parser["sweep"].items():
         try:
             sweep[key] = [float(v) for v in raw.split(",") if v.strip()]
+            if not sweep[key]:
+                raise ValueError
         except ValueError:
             raise ConfigError(f"[sweep] {key} = {raw!r} is not a comma list "
                               f"of numbers") from None

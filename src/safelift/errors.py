@@ -25,18 +25,24 @@ class SingularityDetected(SafeliftError):
     """
 
 
-class InvalidParams(SafeliftError, ValueError):
+class ConfigError(SafeliftError, ValueError):
+    """An input was refused: an experiment file or a constructor argument."""
+
+
+class InvalidParams(ConfigError):
     """Construction arguments violate a documented invariant."""
 
 
-class ConfigError(SafeliftError, ValueError):
-    """An experiment configuration failed validation."""
-
-
 class StepRejected(SafeliftError):
-    """An integration step aborted; carries the offending time and cause."""
+    """An integration step aborted: the time of the step and the cause.
+
+    An aborted run keeps this record as Trajectory.failure. Its str() is
+    the failure text of cert.txt, "<kind> at t=<time>: <cause>", with kind
+    the cause's class name.
+    """
 
     def __init__(self, time: float, cause: Exception):
         self.time = time
         self.cause = cause
-        super().__init__(f"step rejected at t={time:.6g}: {cause}")
+        self.kind = type(cause).__name__
+        super().__init__(f"{self.kind} at t={time:.6g}: {cause}")

@@ -197,8 +197,7 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     """Evaluate every certificate check on a (possibly partial) trajectory."""
     th = thresholds or CertThresholds()
     fail = traj.failure
-    cert = Certificate(failure=None if fail is None else
-                       f"{fail.kind} at t={fail.time:.6g}: {fail.message}", thresholds=th)
+    cert = Certificate(failure=None if fail is None else str(fail), thresholds=th)
     if fail is not None:
         cert.first_violation_time = fail.time
     if len(traj) == 0:
@@ -212,11 +211,13 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
         if not cert.safe_invariance:
             cert.first_violation_time = float(traj.t[int(np.argmin(traj.in_safe_set))])
 
-    increments = np.diff(traj.v)
-    cert.worst_v_increment = float(increments.max()) if len(increments) else 0.0
     cert.lyap_increment_allowance = th.lyap_increment_rel * max(1.0, cert.v0)
-    cert.lyapunov_monotone = cert.worst_v_increment < cert.lyap_increment_allowance
-    cert.vdot_identity_error = float(np.max(np.abs(traj.vdot_numeric - traj.vdot_analytic)))
+    if len(traj) >= 2:
+        # One sample has no increment of V and no numeric rate to compare.
+        cert.worst_v_increment = float(np.diff(traj.v).max())
+        cert.lyapunov_monotone = cert.worst_v_increment < cert.lyap_increment_allowance
+        vdot_error = np.abs(traj.vdot_numeric - traj.vdot_analytic)
+        cert.vdot_identity_error = float(vdot_error.max())
 
     cert.sup_p2_hat = float(np.max(np.abs(traj.p2_hat)))
     cert.sup_theta1_hat = float(np.max(np.abs(traj.theta1_hat)))

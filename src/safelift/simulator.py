@@ -15,8 +15,8 @@ routes checks the coordinate-change algebra.
 Every stage state must stay strictly inside the safe-set guard band; a
 stage that leaves it aborts the step (the state is never clamped, since a
 clamped trajectory would fake the safety property the run is supposed to
-demonstrate). Aborted runs keep the partial trajectory and record when and
-why they stopped.
+demonstrate). An aborted run keeps the partial trajectory, and its failure
+is the StepRejected that step and run_lifted raise.
 
 The logged Lyapunov value uses the true plant parameters. It is a
 diagnostic for the monitor only and is never fed back to the controller.
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .controller import ControllerGains, EstimatorState, Reference, compile_law
-from .errors import (ConfigError, DomainViolation, InvalidParams, NonFiniteInput,
+from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
 from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family, unlift
@@ -72,10 +72,7 @@ class SimConfig:
     p2_law_sign: float = 1.0
 
     def __post_init__(self):
-        try:
-            self.reference
-        except InvalidParams as exc:
-            raise ConfigError(str(exc)) from None
+        self.reference  # refuses a target outside the box
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
@@ -126,13 +123,6 @@ class SimConfig:
         return lyapunov_fn(self.dynamics(), self.gains)
 
 
-@dataclass(frozen=True)
-class RunFailure:
-    time: float
-    kind: str
-    message: str
-
-
 @dataclass
 class Trajectory:
     """Time-indexed record of a run (possibly truncated by a failure)."""
@@ -151,7 +141,7 @@ class Trajectory:
     vdot_analytic: np.ndarray
     vdot_numeric: np.ndarray
     in_safe_set: np.ndarray
-    failure: Optional[RunFailure]
+    failure: Optional[StepRejected]
 
     CSV_HEADER = ("t,x1,x2,z1,z2,e1,e2,u,p2_hat,theta1_hat,"
                   "V,Vdot_num,Vdot_analytic")
@@ -335,8 +325,7 @@ def run(cfg: SimConfig) -> Trajectory:
                 break
             state = _rk4(law, theta, state, dt, a=out)
         except _STAGE_ERRORS as exc:
-            failure = RunFailure(time=i * dt, kind=type(exc).__name__,
-                                 message=str(exc))
+            failure = StepRejected(i * dt, exc)
             break
 
     cols = cols[:, :j]

@@ -1,6 +1,8 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 
+import re
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,12 +185,17 @@ class TestRunCommand:
         # Partial artifacts still written for post-mortem.
         assert (out / "cert.txt").is_file()
 
-    def test_abort_at_start_writes_header_only_csvs(self, tmp_path, capsys):
+    # With --svg there is no sample to plot, so no SVG is written.
+    @pytest.mark.parametrize("flags", [[], ["--svg"]], ids=["plain", "svg"])
+    def test_abort_at_start_writes_header_only_csvs(self, tmp_path, capsys, flags):
         body = BASE.replace("x2 = 0.9", "x2 = 0.9\np2_hat = 1e308")
         cfg = write_cfg(tmp_path, body)
         out = tmp_path / "o"
-        assert main(["run", cfg, "--out", str(out)]) == 3
-        assert "aborted at t=0" in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(out), *flags]) == 3
+        err = capsys.readouterr().err
+        assert "aborted at t=0" in err
+        assert f"partial artifacts written to {out}" in err
+        assert not list(out.glob("*.svg"))
         assert (out / "trace.csv").read_text() == sl.Trajectory.CSV_HEADER + "\n"
         for name in ("states_input.csv", "estimation_errors.csv"):
             assert len((out / name).read_text().splitlines()) == 1
@@ -309,5 +316,8 @@ class TestCheckAssumptionsCommand:
 class TestVersionCommand:
     def test_prints_version(self, capsys):
         assert main(["version"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("safelift ")
+        assert capsys.readouterr().out == f"safelift {sl.__version__}\n"
+        # pyproject.toml states the same version (read by regex: Python 3.10
+        # has no tomllib).
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.*)"$', text, re.M).group(1) == sl.__version__

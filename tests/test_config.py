@@ -167,8 +167,10 @@ class TestLoadConfigErrors:
             sl.load_config(write_cfg(tmp_path, MINIMAL + "[sweep]\ndt = 1, 2\n"))
 
     def test_bad_sweep_values(self, tmp_path):
-        with pytest.raises(ConfigError, match="comma list"):
-            sl.load_config(write_cfg(tmp_path, MINIMAL + "[sweep]\nk1 = a, b\n"))
+        # An empty list would make an empty sweep that writes no rows.
+        for values in ("a, b", ",", ""):
+            with pytest.raises(ConfigError, match="comma list"):
+                sl.load_config(write_cfg(tmp_path, MINIMAL + f"[sweep]\nk1 = {values}\n"))
 
     def test_unknown_threshold(self, tmp_path):
         with pytest.raises(ConfigError, match="certificate"):
@@ -206,8 +208,8 @@ class TestLoadConfigErrors:
         ("type = double_integrator\ntheta = 0", "finite and nonzero"),
     ])
     def test_invalid_plant_parameters(self, tmp_path, plant, match):
-        # The plant constructors raise InvalidParams; load_config must turn
-        # it into a ConfigError (exit code 2), not let it escape.
+        # The plant constructors raise InvalidParams, a ConfigError, so a
+        # bad constant in the file is refused with exit code 2.
         body = MINIMAL + f"[plant]\n{plant}\n"
         with pytest.raises(ConfigError, match=match):
             sl.load_config(write_cfg(tmp_path, body))

@@ -136,6 +136,11 @@ class TestCertify:
         assert cert.first_violation_time == 0.0
         assert "DomainViolation" in cert.failure
         assert not cert.all_pass
+        # One logged sample: no increment of V and no rate to measure.
+        assert len(traj) == 1
+        assert not cert.lyapunov_monotone
+        assert math.isnan(cert.worst_v_increment)
+        assert math.isnan(cert.vdot_identity_error)
 
     def test_empty_trajectory_certificate(self, bench_cfg):
         cfg = bench_cfg(est0=sl.EstimatorState(1e308, 0.0), t_final=1.0)

@@ -173,6 +173,20 @@ class TestRun:
         assert len(traj) == 1
         assert traj.t[0] == 0.0
 
+    def test_abort_is_recorded_as_the_step_rejected_that_step_raises(self, bench_cfg):
+        # run keeps the record that step raises on the same first step, and
+        # its text is the certificate's failure line.
+        cfg = bench_cfg(est0=sl.EstimatorState(1e150, 0.0), t_final=1.0)
+        traj = sl.run(cfg)
+        with pytest.raises(StepRejected) as err:
+            sl.step(cfg, cfg.x0, cfg.est0)
+        fail = traj.failure
+        assert isinstance(fail, StepRejected)
+        assert (fail.time, fail.kind) == (err.value.time, err.value.kind)
+        assert fail.kind == "DomainViolation"
+        assert str(fail) == str(err.value) == f"DomainViolation at t=0: {fail.cause}"
+        assert str(fail) == sl.certify(traj, cfg).failure
+
     def test_vdot_analytic_column_definition(self, run_plus, gains):
         expected = -(np.sqrt(gains.k1) * run_plus.e1
                      - np.sqrt(gains.k2) * run_plus.e2) ** 2
