@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
                  (traj.t, traj.x1, traj.x2, traj.u)),
                 (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
                  (traj.t, *errors))])
-    cert.write(out_dir / "cert.txt")
+    (out_dir / "cert.txt").write_text(cert.to_report())
     if args.svg and len(traj):
         _render_svg(out_dir / "states_input.svg", "states and control input",
                     traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
@@ -139,7 +139,7 @@ def _cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, overrides in sweep_rows(ec):
-        label = " ".join(f"{k}={v:g}" for k, v in overrides.items())
+        label = " ".join(f"{k}={v:.15g}" for k, v in overrides.items())
         try:
             sim = apply_overrides(ec.sim, overrides)
         except SafeliftError as exc:
@@ -170,13 +170,6 @@ def _cmd_check_assumptions(args) -> int:
     return _EXIT_OK if report.passed else _EXIT_RUNTIME
 
 
-def _positive_int(raw: str) -> int:
-    val = int(raw)
-    if val < 2:
-        raise argparse.ArgumentTypeError("grid size must be at least 2")
-    return val
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safelift",
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check-assumptions",
                            help="grid-check the plant structural assumptions")
     p_chk.add_argument("config")
-    p_chk.add_argument("--grid", type=_positive_int, default=21,
+    p_chk.add_argument("--grid", type=int, default=21,
                        help="samples per axis (default 21)")
     p_chk.set_defaults(fn=_cmd_check_assumptions)
 

@@ -37,10 +37,10 @@ true parameter values: the firewall is the argument type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import (DomainViolation, InvalidParams, NonFiniteInput,
-                     SingularityDetected)
+                     SingularityDetected, require_positive)
 from .lifted_dynamics import LiftedDynamics
 from .lifting import (EPS_DOMAIN, CoordinateFrame, SafeSet, FamilySpec,
                       family_pair)
@@ -60,10 +60,7 @@ class ControllerGains:
     alpha: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParams(f"{f.name} must be positive, got {v}")
+        require_positive(self)
 
     @property
     def k2(self) -> float:
@@ -88,9 +85,7 @@ class Reference:
     @classmethod
     def for_target(cls, x1d: float, safe_set: SafeSet, family: FamilySpec) -> "Reference":
         x1d = float(x1d)
-        if not math.isfinite(x1d):
-            raise InvalidParams(f"reference must be finite, got {x1d}")
-        if not abs(x1d) < safe_set.x1_max:
+        if not abs(x1d) < safe_set.x1_max:  # also refuses nan and inf
             raise InvalidParams(
                 f"reference x1d={x1d} must lie strictly inside (-{safe_set.x1_max}, "
                 f"{safe_set.x1_max})")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positivity rule."""
+
+import math
+from dataclasses import fields
 
 
 class SafeliftError(Exception):
@@ -31,6 +34,14 @@ class ConfigError(SafeliftError, ValueError):
 
 class InvalidParams(ConfigError):
     """Construction arguments violate a documented invariant."""
+
+
+def require_positive(params, what: str = "") -> None:
+    """Refuse a dataclass unless every field is finite and positive."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise InvalidParams(f"{what}{f.name} must be positive and finite, got {v}")
 
 
 class StepRejected(SafeliftError):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .errors import DomainViolation, InvalidParams, NonFiniteInput
+from .errors import DomainViolation, InvalidParams, NonFiniteInput, require_positive
 
 # Relative width of the guard band at the box boundary. unsquash diverges as
 # |xn| -> 1; lifting inside the band is refused so the caller gets a
@@ -45,9 +45,7 @@ class SafeSet:
     x2_max: float
 
     def __post_init__(self):
-        if not all(math.isfinite(b) and b > 0.0 for b in self.bounds):
-            raise InvalidParams(f"safe-set bounds must be finite and positive, got "
-                                f"({self.x1_max}, {self.x2_max})")
+        require_positive(self, "safe-set bound ")
 
     def contains(self, x1: float, x2: float) -> bool:
         return abs(x1) < self.x1_max and abs(x2) < self.x2_max

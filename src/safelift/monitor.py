@@ -22,7 +22,7 @@ top of a simulation; nothing here flows back into the control law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .controller import EstimatorState, Reference, ControllerGains
 from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import CoordinateFrame, family_pair, lift
-from .errors import InvalidParams
+from .errors import InvalidParams, require_positive
 
 
 def estimate_targets(plant, safe_set) -> tuple[float, float]:
@@ -108,10 +108,7 @@ class CertThresholds:
     final_residual_tol: float = 1e-2
 
     def __post_init__(self):
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParams(f"{f.name} must be finite and positive, got {v}")
+        require_positive(self)
 
 
 def _pass_fail(ok: bool) -> str:
@@ -187,10 +184,6 @@ class Certificate:
             f"all_pass = {_pass_fail(self.all_pass)}",
         ]
         return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_report())
 
 
 def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certificate:
@@ -279,7 +272,7 @@ def adjudicate_p2_sign(cfg, thresholds: Optional[CertThresholds] = None) -> Sign
     """
     from .simulator import run
 
-    plus_cfg, minus_cfg = cfg.with_sign(+1.0), cfg.with_sign(-1.0)
+    plus_cfg, minus_cfg = replace(cfg, p2_law_sign=1.0), replace(cfg, p2_law_sign=-1.0)
     plus = certify(run(plus_cfg), plus_cfg, thresholds)
     minus = certify(run(minus_cfg), minus_cfg, thresholds)
     if plus.lyapunov_monotone or not minus.lyapunov_monotone:

@@ -19,11 +19,11 @@ Structural assumptions, checkable by grid sampling:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import InvalidParams, NonFiniteInput
+from .errors import InvalidParams, NonFiniteInput, require_positive
 from .lifting import SafeSet
 
 ScalarFn = Callable[[float], float]
@@ -103,10 +103,7 @@ class DcMotorParams:
     Kb: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParams(f"DC motor parameter {f.name} must be positive, got {v}")
+        require_positive(self, "DC motor parameter ")
 
     @property
     def theta1(self) -> float:

@@ -22,15 +22,15 @@ The logged Lyapunov value uses the true plant parameters. It is a
 diagnostic for the monitor only and is never fed back to the controller.
 
 write_csvs writes several CSV tables in one chunked pass and formats a
-column array that several tables share once; write_csv and
-Trajectory.to_csv are its one-table case.
+column array that several tables share once; Trajectory.to_csv is its
+one-table case.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -79,7 +79,7 @@ class SimConfig:
             raise ConfigError(f"t_final must be at least dt, got {self.t_final}")
         if not (isinstance(self.log_stride, int) and self.log_stride >= 1):
             raise ConfigError(f"log_stride must be a positive integer, got {self.log_stride}")
-        if self.p2_law_sign not in (1.0, -1.0, 1, -1):
+        if self.p2_law_sign not in (1.0, -1.0):
             raise ConfigError(f"p2_law_sign must be +1 or -1, got {self.p2_law_sign}")
         try:
             lift(self.x0, self.safe_set, self.family)
@@ -99,15 +99,12 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.t_final / self.dt))
+        return round(self.t_final / self.dt)
 
     def dynamics(self) -> LiftedDynamics:
         """Truth-backed lifted dynamics (for simulation and monitoring)."""
         return LiftedDynamics(plant=self.plant, safe_set=self.safe_set,
                               family=self.family)
-
-    def with_sign(self, p2_law_sign: float) -> "SimConfig":
-        return replace(self, p2_law_sign=float(p2_law_sign))
 
     # (law, theta): the law over the plant's control view, and the true
     # parameters only _rk4 sees. Compiled once per config; replace() builds
@@ -117,10 +114,6 @@ class SimConfig:
         return (compile_law(self.plant.control_view(), self.safe_set, self.family,
                             self.gains, self.reference, self.p2_law_sign),
                 (self.plant.theta1, self.plant.theta2))
-
-    @cached_property
-    def _lyapunov(self):
-        return lyapunov_fn(self.dynamics(), self.gains)
 
 
 @dataclass
@@ -162,7 +155,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the pinned trace schema with 15 significant digits."""
-        write_csv(*self.csv_table(path))
+        write_csvs([self.csv_table(path)])
 
 
 # write_csvs keeps one chunk of every table's text alive at once. On
@@ -170,11 +163,6 @@ class Trajectory:
 # memory by about 1.9 MB over writing the files one by one, 1024 rows by
 # about 0.6 MB at the same speed; 256 rows saved 0.3 MB more but wrote slower.
 CSV_CHUNK_ROWS = 1024
-
-
-def write_csv(path, header: str, cols) -> None:
-    """Write equal-length numeric columns as CSV, 15 significant digits."""
-    write_csvs([(path, header, cols)])
 
 
 def write_csvs(tables) -> None:
@@ -293,7 +281,7 @@ def run(cfg: SimConfig) -> Trajectory:
     differentiating the logged V, so the monitor can compare them.
     """
     law, theta = cfg._law
-    vfun = cfg._lyapunov
+    vfun = lyapunov_fn(cfg.dynamics(), cfg.gains)
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
@@ -334,12 +322,10 @@ def run(cfg: SimConfig) -> Trajectory:
     fam1, fam2 = family_pair(cfg.family)
     z1 = xb1 * np.array([fam1.unsquash(v) for v in cols[1] / xb1])
     z2 = xb2 * np.array([fam2.unsquash(v) for v in cols[2] / xb2])
-    if len(t) >= 3:
-        vdot_num = np.gradient(cols[8], t, edge_order=2)
-    elif len(t) == 2:
-        vdot_num = np.gradient(cols[8], t)
-    else:
-        vdot_num = np.zeros_like(cols[8])
+    if len(t) >= 2:
+        vdot_num = np.gradient(cols[8], t, edge_order=min(2, len(t) - 1))
+    else:  # one sample has no rate
+        vdot_num = np.full_like(cols[8], np.nan)
     return Trajectory(
         t=t, x1=cols[1], x2=cols[2], z1=z1, z2=z2,
         e1=cols[5], e2=cols[6], u=cols[7],

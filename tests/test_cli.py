@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 
+import csv
 import re
 import textwrap
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import safelift as sl
 from safelift.cli import _ERRORS_HEADER, _estimation_errors, main
-from safelift.simulator import CSV_CHUNK_ROWS, write_csv
+from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
 
 FIG2 = "configs/dc_motor_fig2.cfg"
 CERTIFIED = "configs/dc_motor_certified.cfg"
@@ -118,8 +119,8 @@ class TestRunCommand:
         traj = SimpleNamespace(t=np.arange(rows) * 1e-3, theta1_hat=th1_hat,
                                p2_hat=p2_hat)
         got = tmp_path / "got.csv"
-        write_csv(got, _ERRORS_HEADER,
-                  (traj.t, *_estimation_errors(traj, plant, box)))
+        write_csvs([(got, _ERRORS_HEADER,
+                     (traj.t, *_estimation_errors(traj, plant, box)))])
 
         lines = ["t,theta1_err,p2_err,log10_theta1_err,log10_p2_err"]
         for i in range(rows):
@@ -184,6 +185,27 @@ class TestRunCommand:
         assert "aborted at t=" in err
         # Partial artifacts still written for post-mortem.
         assert (out / "cert.txt").is_file()
+
+    def test_one_sample_trace_has_no_numeric_rate(self, tmp_path, capsys):
+        # Aborted at t = 0 after one logged sample: Vdot_num reads nan, not 0.
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text(Path(FIG2).read_text().replace("p2_hat = 1.0", "p2_hat = 1e150"))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["Vdot_num"] == "nan"
+        assert rows[0]["Vdot_analytic"] != "nan"
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        # A Latin-1 byte in a comment: refused whatever the locale says.
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# réglage\n".encode("latin-1") + Path(FIG2).read_bytes())
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+        assert not out.exists()
 
     # With --svg there is no sample to plot, so no SVG is written.
     @pytest.mark.parametrize("flags", [[], ["--svg"]], ids=["plain", "svg"])
@@ -302,6 +324,16 @@ class TestSweepCommand:
         assert labels == ["k1=2 gamma=1", "k1=2 gamma=1.5",
                           "k1=0.5 gamma=1", "k1=0.5 gamma=1.5"]
 
+    def test_close_values_keep_distinct_labels(self, tmp_path):
+        body = BASE + textwrap.dedent("""
+        [sweep]
+        k1 = 1.0000001, 1.0000002
+        """)
+        out = tmp_path / "out"
+        assert main(["sweep", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["k1=1.0000001", "k1=1.0000002"]
+
 
 class TestCheckAssumptionsCommand:
     def test_motor_passes(self, capsys):
@@ -311,6 +343,10 @@ class TestCheckAssumptionsCommand:
     def test_grid_flag(self, capsys):
         assert main(["check-assumptions", FIG2, "--grid", "5"]) == 0
         assert "5 x 5" in capsys.readouterr().out
+
+    def test_grid_below_two_is_config_error(self, capsys):
+        assert main(["check-assumptions", FIG2, "--grid", "1"]) == 2
+        assert "grid_n must be at least 2" in capsys.readouterr().err
 
 
 class TestVersionCommand:

@@ -100,6 +100,12 @@ class TestLoadConfig:
         ec = sl.load_config(write_cfg(tmp_path, body))
         assert ec.sim.reference.x1d == -1.9
 
+    def test_utf8_comment_loads(self, tmp_path):
+        # The file is read as UTF-8 whatever the locale's encoding.
+        path = tmp_path / "utf8.cfg"
+        path.write_bytes(("; réglage ✓\n" + MINIMAL).encode("utf-8"))
+        assert sl.load_config(path).sim.x1d == -1.9
+
     def test_bundled_configs_parse(self):
         fig2 = sl.load_config("configs/dc_motor_fig2.cfg")
         assert fig2.sim.p2_law_sign == -1.0

@@ -33,6 +33,13 @@ class TestSafeSet:
         with pytest.raises(InvalidParams, match="finite"):
             sl.SafeSet(*bounds)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["x1_max", "x2_max"])
+    def test_names_the_refused_bound(self, name, bad):
+        bounds = {"x1_max": 2.0, "x2_max": 1.0, name: bad}
+        with pytest.raises(InvalidParams, match=f"{name} must be positive and finite"):
+            sl.SafeSet(**bounds)
+
 
 class TestTanhFamily:
     def test_fixed_points_and_reference_values(self, tanh_fam):

@@ -100,6 +100,14 @@ class TestVdotAnalytic:
             assert sl.vdot_analytic(rng.normal(0, 10), rng.normal(0, 10), g) <= 0.0
 
 
+class TestCertThresholds:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-6])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(sl.CertThresholds)])
+    def test_refuses_nonfinite_or_nonpositive(self, name, bad):
+        with pytest.raises(InvalidParams, match=f"{name} must be positive and finite"):
+            sl.CertThresholds(**{name: bad})
+
+
 class TestCertify:
     def test_certified_run_passes_everything(self, run_plus, bench_cfg):
         cert = sl.certify(run_plus, bench_cfg())
@@ -189,7 +197,7 @@ class TestCertify:
                     "tracking_error_final", "equilibrium_residual", "all_pass"):
             assert any(line.startswith(key + " = ") for line in text.splitlines())
         path = tmp_path / "cert.txt"
-        cert.write(path)
+        path.write_text(cert.to_report())
         assert path.read_text() == text
 
     def test_custom_thresholds_respected(self, run_plus, bench_cfg):

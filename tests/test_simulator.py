@@ -9,7 +9,7 @@ import pytest
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
 from safelift import simulator
-from safelift.simulator import CSV_CHUNK_ROWS, write_csv, write_csvs
+from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
 
 V0_BENCH = 57.441257570906908
 
@@ -90,7 +90,7 @@ class TestStep:
         sl.run(cfg)
         assert len(calls) == 1
         # replace() gives a new config, and the new config its own law.
-        sl.step(cfg.with_sign(-1.0), cfg.x0, cfg.est0)
+        sl.step(dataclasses.replace(cfg, p2_law_sign=-1.0), cfg.x0, cfg.est0)
         assert len(calls) == 2 and calls[1][-1] == -1.0
 
 
@@ -234,6 +234,43 @@ class TestRun:
         assert order > 3.0
 
 
+class TestNonlinearPlant:
+    """The +1 law on conftest's nonlinear plant, target -1.5, over 10 s.
+
+    The run parks short of the target, so tracking is not asserted; the V
+    rate identity and monotone V are what see a dropped shape factor.
+    """
+
+    @pytest.fixture(scope="class", params=[
+        (sl.tanh_family(), 1.0),
+        ((sl.tanh_family(), sl.logit_family()), 2.0),
+    ], ids=["tanh-x2max-1", "tanh-logit-x2max-2"])
+    def scenario(self, request, nonlinear_plant, gains):
+        family, x2_max = request.param
+        cfg = sl.SimConfig(plant=nonlinear_plant, safe_set=sl.SafeSet(2.0, x2_max),
+                           gains=gains, x1d=-1.5, x0=(0.0, 0.5 * x2_max),
+                           est0=sl.EstimatorState(1.0, 0.0), family=family,
+                           t_final=10.0)
+        return cfg, sl.run(cfg)
+
+    def test_assumptions_hold(self, scenario):
+        cfg, _ = scenario
+        assert sl.check_assumptions(cfg.plant, cfg.safe_set).passed
+
+    def test_run_completes_with_certified_v(self, scenario):
+        cfg, traj = scenario
+        assert traj.completed
+        cert = sl.certify(traj, cfg)
+        assert cert.vdot_identity_error <= cert.thresholds.vdot_tol
+        assert cert.lyapunov_monotone
+
+    def test_x_and_z_routes_agree(self, scenario):
+        cfg, traj = scenario
+        zrun = sl.run_lifted(cfg)
+        assert np.max(np.abs(traj.x1 - zrun.x1)) < 1e-5
+        assert np.max(np.abs(traj.x2 - zrun.x2)) < 1e-5
+
+
 class TestTrajectoryCsv:
     def test_schema_and_round_trip(self, bench_cfg, tmp_path):
         cfg = bench_cfg(t_final=0.5, log_stride=10)
@@ -254,7 +291,7 @@ class TestTrajectoryCsv:
 
 
 def per_cell_csv(path, header, cols):
-    """Reference writer: one f-string per cell, the format write_csv matches."""
+    """Reference writer: one f-string per cell, the format write_csvs matches."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for i in range(len(cols[0])):
@@ -276,7 +313,7 @@ class TestWriteCsv:
                 rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
                 rng.uniform(-1.0, 1.0, rows))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_csv(got, "a,b,c,d", cols)
+        write_csvs([(got, "a,b,c,d", cols)])
         per_cell_csv(want, "a,b,c,d", cols)
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_text().splitlines()) == rows + 1
@@ -297,7 +334,7 @@ class TestWriteCsv:
         write_csvs(tables)
         for path, header, cols in tables:
             alone = tmp_path / "alone.csv"
-            write_csv(alone, header, cols)
+            write_csvs([(alone, header, cols)])
             per_cell_csv(tmp_path / "want.csv", header, cols)
             assert path.read_bytes() == alone.read_bytes()
             assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
