@@ -8,9 +8,8 @@ closed loop numerically: safe-set invariance, Lyapunov decrease, and
 boundedness of the estimates.
 """
 
-from .errors import (ConfigError, DomainViolation, InvalidParams,
-                     NonFiniteInput, SafeliftError, SingularityDetected,
-                     StepRejected)
+from .errors import (ConfigError, DomainViolation, NonFiniteInput,
+                     SafeliftError, SingularityDetected, StepRejected)
 from .lifting import (EPS_DOMAIN, CoordinateFrame, LiftingFamily, SafeSet,
                       family_names, family_pair, get_family, lift,
                       logit_family, tanh_family, unlift)
@@ -40,6 +39,6 @@ __all__ = [
     "lyapunov", "vdot_analytic", "certify", "adjudicate_p2_sign",
     "ExperimentConfig", "load_config", "apply_overrides", "sweep_rows",
     "SafeliftError", "DomainViolation", "NonFiniteInput", "SingularityDetected",
-    "InvalidParams", "ConfigError", "StepRejected",
+    "ConfigError", "StepRejected",
     "__version__",
 ]

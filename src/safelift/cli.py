@@ -94,10 +94,21 @@ def _render_svg(path, title, t, series) -> None:
     Path(path).write_text("\n".join(parts))
 
 
+def _out_dir(args, ec) -> Path:
+    """--out, else the config's directory, made if missing; ConfigError if
+    it cannot be made (a file there, or no permission)."""
+    out_dir = Path(args.out or ec.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from None
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     ec = load_config(args.config)
-    out_dir = Path(args.out) if args.out else ec.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, ec)
 
     traj = run_sim(ec.sim)
     cert = certify(traj, ec.sim, ec.thresholds)
@@ -135,8 +146,7 @@ _SWEEP_HEADER = ("index,overrides,status,tracking_error_final,worst_v_increment,
 
 def _cmd_sweep(args) -> int:
     ec = load_config(args.config)
-    out_dir = Path(args.out) if args.out else ec.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, ec)
     rows = []
     for i, overrides in sweep_rows(ec):
         label = " ".join(f"{k}={v:.15g}" for k, v in overrides.items())

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .controller import ControllerGains, EstimatorState
-from .errors import ConfigError, InvalidParams
+from .errors import ConfigError
 from .lifting import SafeSet, get_family
 from .monitor import CertThresholds
 from .plant import DcMotorParams, dc_motor, double_integrator
@@ -131,10 +131,11 @@ def _build_sim(parser) -> SimConfig:
     for key in _KEYS["plant"][1:]:
         if key in psec and key not in _PLANT_KEYS[ptype]:
             raise ConfigError(f"[plant] key {key!r} does not apply to type {ptype}")
+    constants = _numbers(psec, *_PLANT_KEYS[ptype])
     if ptype == "dc_motor":
-        plant = dc_motor(DcMotorParams(**_numbers(psec, *_PLANT_KEYS[ptype])))
+        plant = dc_motor(DcMotorParams(**constants))
     else:
-        plant = double_integrator(_number(psec, "theta", 1.0))
+        plant = double_integrator(**constants)
     safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
                        x2_max=_number(parser["safe_set"], "x2_max"))
     fam1 = get_family(lsec.get("family", "tanh"))
@@ -175,10 +176,10 @@ def load_config(path) -> ExperimentConfig:
 
     sim = _build_sim(parser)
     out_dir = Path(parser["output"].get("directory") or "out")
+    values = _numbers(parser["certificate"], *_KEYS["certificate"])
     try:
-        thresholds = CertThresholds(**_numbers(parser["certificate"],
-                                               *_KEYS["certificate"]))
-    except InvalidParams as exc:
+        thresholds = CertThresholds(**values)
+    except ConfigError as exc:
         raise ConfigError(f"bad [certificate] section: {exc}") from None
 
     sweep: dict[str, list[float]] = {}

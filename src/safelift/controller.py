@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (DomainViolation, InvalidParams, NonFiniteInput,
+from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, require_positive)
 from .lifted_dynamics import LiftedDynamics
 from .lifting import (EPS_DOMAIN, CoordinateFrame, SafeSet, FamilySpec,
@@ -86,7 +86,7 @@ class Reference:
     def for_target(cls, x1d: float, safe_set: SafeSet, family: FamilySpec) -> "Reference":
         x1d = float(x1d)
         if not abs(x1d) < safe_set.x1_max:  # also refuses nan and inf
-            raise InvalidParams(
+            raise ConfigError(
                 f"reference x1d={x1d} must lie strictly inside (-{safe_set.x1_max}, "
                 f"{safe_set.x1_max})")
         fam1, _ = family_pair(family)
@@ -119,7 +119,7 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     non-finite lifted gain raises SingularityDetected.
     """
     if not isinstance(shape, PlantShape):
-        raise InvalidParams(
+        raise ConfigError(
             "the control law takes the controller-facing PlantShape "
             f"(plant.control_view()), got {type(shape).__name__}")
     g1, f2, g2 = shape.g1, shape.f2, shape.g2

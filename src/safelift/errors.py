@@ -32,16 +32,12 @@ class ConfigError(SafeliftError, ValueError):
     """An input was refused: an experiment file or a constructor argument."""
 
 
-class InvalidParams(ConfigError):
-    """Construction arguments violate a documented invariant."""
-
-
 def require_positive(params, what: str = "") -> None:
     """Refuse a dataclass unless every field is finite and positive."""
     for f in fields(params):
         v = getattr(params, f.name)
         if not (math.isfinite(v) and v > 0.0):
-            raise InvalidParams(f"{what}{f.name} must be positive and finite, got {v}")
+            raise ConfigError(f"{what}{f.name} must be positive and finite, got {v}")
 
 
 class StepRejected(SafeliftError):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParams, SingularityDetected
+from .errors import ConfigError, SingularityDetected
 from .lifting import CoordinateFrame, SafeSet, FamilySpec, family_pair, unlift
 
 
@@ -105,7 +105,7 @@ class LiftedDynamics:
         try:
             th1, th2 = self.plant.theta1, self.plant.theta2
         except AttributeError:
-            raise InvalidParams(
+            raise ConfigError(
                 "rhs needs a truth-backed plant with theta1/theta2; got the "
                 "controller-facing view") from None
         frame = unlift(z, self.safe_set, self.family)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .errors import DomainViolation, InvalidParams, NonFiniteInput, require_positive
+from .errors import ConfigError, DomainViolation, NonFiniteInput, require_positive
 
 # Relative width of the guard band at the box boundary. unsquash diverges as
 # |xn| -> 1; lifting inside the band is refused so the caller gets a
@@ -116,7 +116,7 @@ def get_family(name: str) -> LiftingFamily:
     try:
         return _FAMILY_FACTORIES[name]()
     except KeyError:
-        raise InvalidParams(
+        raise ConfigError(
             f"unknown lifting family {name!r}; available: "
             f"{sorted(_FAMILY_FACTORIES)}") from None
 
@@ -138,7 +138,7 @@ def family_pair(family: FamilySpec) -> tuple[LiftingFamily, LiftingFamily]:
         return (family, family)
     pair = tuple(family)
     if len(pair) != 2 or not all(isinstance(f, LiftingFamily) for f in pair):
-        raise InvalidParams("family must be a LiftingFamily or a pair of them")
+        raise ConfigError("family must be a LiftingFamily or a pair of them")
     return pair
 
 

@@ -22,7 +22,7 @@ top of a simulation; nothing here flows back into the control law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .controller import EstimatorState, Reference, ControllerGains
 from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import CoordinateFrame, family_pair, lift
-from .errors import InvalidParams, require_positive
+from .errors import ConfigError, require_positive
 
 
 def estimate_targets(plant, safe_set) -> tuple[float, float]:
@@ -52,7 +52,7 @@ def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
     try:
         th1e, p2 = estimate_targets(dyn.plant, dyn.safe_set)
     except AttributeError:
-        raise InvalidParams(
+        raise ConfigError(
             "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
             "got the controller-facing view") from None
     xb2 = dyn.safe_set.x2_max
@@ -111,8 +111,14 @@ class CertThresholds:
         require_positive(self)
 
 
-def _pass_fail(ok: bool) -> str:
-    return "pass" if ok else "FAIL"
+def _text(value, spec: str = ".15g") -> str:
+    """The one rule that writes a certificate value: pass/FAIL for a check,
+    none for no value, the failure text itself, spec for a number."""
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else format(value, spec)
 
 
 @dataclass
@@ -121,13 +127,14 @@ class Certificate:
 
     Pass/fail applies to safety, Lyapunov monotonicity, and estimate
     boundedness (plus run completion); the remaining entries are measured
-    values recorded for inspection against the thresholds. certify fills
-    each field once; a value the run did not get to measure keeps its
-    default: nan, a failed check, or no violation time.
+    values recorded for inspection against the thresholds, each echoed
+    tolerance right after the values it bounds. certify fills each field
+    once; a value the run did not get to measure keeps its default: nan, a
+    failed check, or no violation time. The fields, in order, are the
+    cert.txt keys between completed and all_pass.
     """
 
     failure: Optional[str]
-    thresholds: CertThresholds
     v0: float = math.nan
     safe_invariance: bool = False
     first_violation_time: Optional[float] = None
@@ -135,15 +142,18 @@ class Certificate:
     worst_v_increment: float = math.nan
     lyap_increment_allowance: float = math.nan
     vdot_identity_error: float = math.nan
+    vdot_tol: float = math.nan
     estimates_bounded: bool = False
     sup_p2_hat: float = math.nan
     sup_theta1_hat: float = math.nan
     estimate_allowance: float = math.nan
     tracking_error_final: float = math.nan
+    tracking_tol: float = math.nan
     final_e1: float = math.nan
     final_e2: float = math.nan
     final_u: float = math.nan
     final_z2: float = math.nan
+    final_residual_tol: float = math.nan
     equilibrium_residual: float = math.nan
 
     @property
@@ -156,33 +166,9 @@ class Certificate:
                 and self.lyapunov_monotone and self.estimates_bounded)
 
     def to_report(self) -> str:
-        th = self.thresholds
-        opt = lambda v: "none" if v is None else f"{v:.15g}"
-        lines = [
-            f"completed = {self.completed}",
-            f"failure = {self.failure or 'none'}",
-            f"v0 = {self.v0:.15g}",
-            f"safe_invariance = {_pass_fail(self.safe_invariance)}",
-            f"first_violation_time = {opt(self.first_violation_time)}",
-            f"lyapunov_monotone = {_pass_fail(self.lyapunov_monotone)}",
-            f"worst_v_increment = {self.worst_v_increment:.15g}",
-            f"lyap_increment_allowance = {self.lyap_increment_allowance:.15g}",
-            f"vdot_identity_error = {self.vdot_identity_error:.15g}",
-            f"vdot_tol = {th.vdot_tol:.15g}",
-            f"estimates_bounded = {_pass_fail(self.estimates_bounded)}",
-            f"sup_p2_hat = {self.sup_p2_hat:.15g}",
-            f"sup_theta1_hat = {self.sup_theta1_hat:.15g}",
-            f"estimate_allowance = {self.estimate_allowance:.15g}",
-            f"tracking_error_final = {self.tracking_error_final:.15g}",
-            f"tracking_tol = {th.tracking_tol:.15g}",
-            f"final_e1 = {self.final_e1:.15g}",
-            f"final_e2 = {self.final_e2:.15g}",
-            f"final_u = {self.final_u:.15g}",
-            f"final_z2 = {self.final_z2:.15g}",
-            f"final_residual_tol = {th.final_residual_tol:.15g}",
-            f"equilibrium_residual = {self.equilibrium_residual:.15g}",
-            f"all_pass = {_pass_fail(self.all_pass)}",
-        ]
+        lines = [f"completed = {self.completed}"]
+        lines += [f"{f.name} = {_text(getattr(self, f.name))}" for f in fields(self)]
+        lines.append(f"all_pass = {_text(self.all_pass)}")
         return "\n".join(lines) + "\n"
 
 
@@ -190,7 +176,8 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     """Evaluate every certificate check on a (possibly partial) trajectory."""
     th = thresholds or CertThresholds()
     fail = traj.failure
-    cert = Certificate(failure=None if fail is None else str(fail), thresholds=th)
+    cert = Certificate(failure=None if fail is None else str(fail), vdot_tol=th.vdot_tol,
+                       tracking_tol=th.tracking_tol, final_residual_tol=th.final_residual_tol)
     if fail is not None:
         cert.first_violation_time = fail.time
     if len(traj) == 0:
@@ -247,13 +234,9 @@ class SignAdjudication:
             "sup_p2_hat")
 
     def to_report(self) -> str:
-        def cell(cert, name):
-            v = getattr(cert, name)
-            return _pass_fail(v) if isinstance(v, bool) else f"{v:.3e}"
-
         rows = [("", "p2_law_sign=+1", "p2_law_sign=-1")]
-        rows += [(name, cell(self.plus, name), cell(self.minus, name))
-                 for name in self.ROWS]
+        rows += [(name, _text(getattr(self.plus, name), ".3e"),
+                  _text(getattr(self.minus, name), ".3e")) for name in self.ROWS]
         width = max(len(r[0]) for r in rows) + 2
         out = ["p2_hat update-sign adjudication (same scenario, both laws):"]
         for name, a, b in rows:

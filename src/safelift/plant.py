@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import InvalidParams, NonFiniteInput, require_positive
+from .errors import ConfigError, NonFiniteInput, require_positive
 from .lifting import SafeSet
 
 ScalarFn = Callable[[float], float]
@@ -46,7 +46,7 @@ class PlantShape:
 
     def __post_init__(self):
         if self.theta2_sign not in (1.0, -1.0):
-            raise InvalidParams(f"theta2_sign must be +1 or -1, got {self.theta2_sign}")
+            raise ConfigError(f"theta2_sign must be +1 or -1, got {self.theta2_sign}")
 
     def control_view(self) -> "PlantShape":
         """Already the controller-facing view."""
@@ -69,10 +69,10 @@ class PlantDef:
     name: str = "custom"
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
-            raise InvalidParams("plant parameters must be finite")
-        if self.theta2 == 0.0:
-            raise InvalidParams("theta2 must be nonzero")
+        if not math.isfinite(self.theta1):
+            raise ConfigError(f"theta1 must be finite, got {self.theta1}")
+        if not (math.isfinite(self.theta2) and self.theta2 != 0.0):
+            raise ConfigError(f"theta2 must be finite and nonzero, got {self.theta2}")
 
     @property
     def theta2_sign(self) -> float:
@@ -138,14 +138,12 @@ def dc_motor(params: DcMotorParams = DcMotorParams()) -> PlantDef:
                     name="dc_motor")
 
 
-def double_integrator(theta: float) -> PlantDef:
+def double_integrator(theta: float = 1.0) -> PlantDef:
     """Double integrator with unknown input gain.
 
     g1 = 1, f2(x1, x2) = x2 with theta1 = 0 (so the zero-at-x2=0 structure
     holds trivially), g2 = 1, theta2 = theta.
     """
-    if not math.isfinite(theta) or theta == 0.0:
-        raise InvalidParams(f"double integrator input gain must be finite and nonzero, got {theta}")
     return PlantDef(g1=_one_of_one, f2=_second_state, g2=_one_of_two,
                     theta1=0.0, theta2=float(theta), name="double_integrator")
 
@@ -197,7 +195,7 @@ def check_assumptions(plant, safe_set: SafeSet, grid_n: int = 21) -> AssumptionR
     informational note since it cannot push x2 both ways.
     """
     if grid_n < 2:
-        raise InvalidParams(f"grid_n must be at least 2, got {grid_n}")
+        raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
     xb1, xb2 = safe_set.bounds
     xs1 = [-xb1 + 2.0 * xb1 * (j + 1) / (grid_n + 1) for j in range(grid_n)]
     xs2 = [-xb2 + 2.0 * xb2 * (j + 1) / (grid_n + 1) for j in range(grid_n)]

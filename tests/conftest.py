@@ -19,17 +19,19 @@ def motor():
     return sl.dc_motor()
 
 
+# A plant of the paper's class whose shapes all vary with the state. The
+# DC motor has g1 = g2 = 1 and f2 = x2, so a law that drops a shape factor
+# still passes every test on it; this one does not. Module level so that a
+# parametrize list can use it too.
+NONLINEAR_PLANT = sl.PlantDef(g1=lambda x1: 1.0 + 0.5 * x1 * x1,
+                              f2=lambda x1, x2: x2 * (1.0 + x1 * x1),
+                              g2=lambda x1, x2: 2.0 + math.cos(x1),
+                              theta1=-3.0, theta2=0.7, name="nonlinear")
+
+
 @pytest.fixture(scope="session")
 def nonlinear_plant():
-    """A plant of the paper's class whose shapes all vary with the state.
-
-    The DC motor has g1 = g2 = 1 and f2 = x2, so a law that drops a shape
-    factor still passes every test on it; this one does not.
-    """
-    return sl.PlantDef(g1=lambda x1: 1.0 + 0.5 * x1 * x1,
-                       f2=lambda x1, x2: x2 * (1.0 + x1 * x1),
-                       g2=lambda x1, x2: 2.0 + math.cos(x1),
-                       theta1=-3.0, theta2=0.7, name="nonlinear")
+    return NONLINEAR_PLANT
 
 
 @pytest.fixture(scope="session")

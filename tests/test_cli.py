@@ -42,6 +42,20 @@ t_final = 2.0
 """
 
 
+@pytest.mark.parametrize("command, out", [
+    (["run", FIG2], "taken"),
+    (["sweep", SWEEP], "taken/sub"),
+], ids=["run-out-is-a-file", "sweep-out-under-a-file"])
+def test_unusable_out_dir_is_config_error(tmp_path, capsys, command, out):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / out
+    assert main([*command, "--out", str(out)]) == 2
+    # One line naming the directory, not a traceback.
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: ") and str(out) in err[0]
+
+
 class TestRunCommand:
     def test_near_boundary_scenario_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"

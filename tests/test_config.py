@@ -9,7 +9,7 @@ import pytest
 import safelift as sl
 from safelift import config as sl_config
 from safelift.config import apply_overrides, sweep_rows
-from safelift.errors import ConfigError, InvalidParams
+from safelift.errors import ConfigError
 
 MINIMAL = """
 [safe_set]
@@ -214,7 +214,7 @@ class TestLoadConfigErrors:
         ("type = double_integrator\ntheta = 0", "finite and nonzero"),
     ])
     def test_invalid_plant_parameters(self, tmp_path, plant, match):
-        # The plant constructors raise InvalidParams, a ConfigError, so a
+        # The plant constructors raise ConfigError, so a
         # bad constant in the file is refused with exit code 2.
         body = MINIMAL + f"[plant]\n{plant}\n"
         with pytest.raises(ConfigError, match=match):
@@ -269,7 +269,7 @@ class TestSweep:
         assert sim.x0 == (0.0, -0.5)
         # The original is untouched.
         assert ec.sim.gains.k1 == 1.0
-        with pytest.raises((ConfigError, InvalidParams)):
+        with pytest.raises(ConfigError):
             apply_overrides(ec.sim, {"x1d": 5.0})
         with pytest.raises(ConfigError):
             apply_overrides(ec.sim, {"x2": 1.0})

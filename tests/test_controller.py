@@ -11,7 +11,7 @@ import pytest
 
 import safelift as sl
 from safelift import controller as controller_module
-from safelift.errors import InvalidParams, NonFiniteInput
+from safelift.errors import ConfigError, NonFiniteInput
 from safelift.simulator import _rk4
 
 # Frozen reference values for the benchmark scenario at t = 0
@@ -50,7 +50,7 @@ class TestControllerGains:
     def test_validation(self, bad):
         kw = dict(k1=1.0, gamma=1.0, alpha=1.0)
         kw.update(bad)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.ControllerGains(**kw)
 
     def test_k2_is_derived_not_stored(self):
@@ -70,7 +70,7 @@ class TestReference:
 
     @pytest.mark.parametrize("bad", [2.0, -2.0, 2.5, math.nan])
     def test_must_be_interior(self, box, tanh_fam, bad):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.Reference.for_target(bad, box, tanh_fam)
 
 
@@ -228,7 +228,7 @@ class TestParameterFirewall:
         assert minus(*s)[:3] + minus(*s)[4:] == plus(*s)[:3] + plus(*s)[4:]
 
     def test_law_refuses_truth_backed_plant(self, motor, box, tanh_fam, ref, gains):
-        with pytest.raises(InvalidParams, match="PlantShape"):
+        with pytest.raises(ConfigError, match="PlantShape"):
             sl.compile_law(motor, box, tanh_fam, gains, ref)
 
     def test_source_never_names_true_parameters(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import safelift as sl
-from safelift.errors import InvalidParams, SingularityDetected, StepRejected
+from safelift.errors import ConfigError, SingularityDetected, StepRejected
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -110,7 +110,7 @@ class TestLiftedRhs:
     def test_needs_truth_backed_plant(self, motor, box, tanh_fam):
         shape_dyn = sl.LiftedDynamics(plant=motor.control_view(),
                                       safe_set=box, family=tanh_fam)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             shape_dyn.rhs((0.0, 0.0), 0.0)
 
     def test_singular_input_gain_detected(self, box, tanh_fam):

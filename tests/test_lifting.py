@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import safelift as sl
-from safelift.errors import DomainViolation, InvalidParams, NonFiniteInput
+from safelift.errors import ConfigError, DomainViolation, NonFiniteInput
 
 # High-precision reference values, computed independently with a 30-digit
 # arbitrary-precision evaluation of the closed forms.
@@ -25,19 +25,19 @@ class TestSafeSet:
 
     @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -2.0), (-1.0, -1.0)])
     def test_rejects_nonpositive_bounds(self, bounds):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.SafeSet(*bounds)
 
     @pytest.mark.parametrize("bounds", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)])
     def test_rejects_nonfinite_bounds(self, bounds):
-        with pytest.raises(InvalidParams, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             sl.SafeSet(*bounds)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["x1_max", "x2_max"])
     def test_names_the_refused_bound(self, name, bad):
         bounds = {"x1_max": 2.0, "x2_max": 1.0, name: bad}
-        with pytest.raises(InvalidParams, match=f"{name} must be positive and finite"):
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
             sl.SafeSet(**bounds)
 
 
@@ -142,15 +142,15 @@ class TestFamilyRegistry:
         assert sl.family_names() == ["logit", "tanh"]
 
     def test_unknown_family(self):
-        with pytest.raises(InvalidParams, match="unknown lifting family"):
+        with pytest.raises(ConfigError, match="unknown lifting family"):
             sl.get_family("sine")
 
     def test_family_pair_forms(self, tanh_fam, logit_fam):
         assert sl.family_pair(tanh_fam) == (tanh_fam, tanh_fam)
         assert sl.family_pair((tanh_fam, logit_fam)) == (tanh_fam, logit_fam)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.family_pair((tanh_fam,))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.family_pair((tanh_fam, "tanh"))
 
 

@@ -8,7 +8,9 @@ import pytest
 
 import safelift as sl
 from safelift import controller, simulator
-from safelift.errors import InvalidParams
+from safelift.errors import ConfigError
+
+from conftest import NONLINEAR_PLANT
 
 # Frozen benchmark values (30-digit oracle): V at t = 0 decomposes into
 # e1^2/2 = 6.710841967496082, log cosh(atanh 0.9) = 0.830365603410825,
@@ -76,7 +78,7 @@ class TestLyapunov:
         shape_dyn = sl.LiftedDynamics(plant=motor.control_view(),
                                       safe_set=box, family=tanh_fam)
         frame = sl.lift((0.0, 0.0), box, tanh_fam)
-        with pytest.raises(InvalidParams, match="truth-backed"):
+        with pytest.raises(ConfigError, match="truth-backed"):
             sl.lyapunov(shape_dyn, frame, ref, gains, sl.EstimatorState(1.0, 0.0))
 
 
@@ -104,7 +106,7 @@ class TestCertThresholds:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-6])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(sl.CertThresholds)])
     def test_refuses_nonfinite_or_nonpositive(self, name, bad):
-        with pytest.raises(InvalidParams, match=f"{name} must be positive and finite"):
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
             sl.CertThresholds(**{name: bad})
 
 
@@ -163,6 +165,12 @@ class TestCertify:
         items = _report_items(sl.certify(sl.run(cfg), cfg))
         assert [key for key, _ in items] == CERT_KEYS
 
+    def test_report_keys_are_the_certificate_fields(self):
+        # to_report names no key of its own between completed and all_pass.
+        keys = [key for key, _ in _report_items(sl.Certificate(failure=None))]
+        assert keys == ["completed", *(f.name for f in dataclasses.fields(sl.Certificate)),
+                        "all_pass"]
+
     def test_empty_run_reports_unmeasured_values(self, bench_cfg):
         # Nothing was logged: every measured value reads nan or FAIL; the
         # thresholds, and the allowance floor rel * 1, are still stated.
@@ -183,7 +191,7 @@ class TestCertify:
         }
 
     def test_unmeasured_defaults_read_nan_none_or_fail(self):
-        cert = sl.Certificate(failure="stopped", thresholds=sl.CertThresholds())
+        cert = sl.Certificate(failure="stopped")
         measured = [(key, value) for key, value in _report_items(cert)
                     if key not in ("completed", "failure") and not key.endswith("_tol")]
         assert {value for _, value in measured} == {"nan", "none", "FAIL"}
@@ -260,11 +268,21 @@ def _wide_pair_cfg():
                         family=fam, dt=1e-3, t_final=5.0, p2_law_sign=-1.0)
 
 
+def _nonlinear_cfg(p2_law_sign):
+    # The paper-class plant with no unit shape, mid-transient after 5 s.
+    return sl.SimConfig(plant=NONLINEAR_PLANT, safe_set=sl.SafeSet(2.0, 1.0),
+                        gains=sl.ControllerGains(1.0, 1.0, 1.0), x1d=-1.5,
+                        x0=(0.0, 0.5), est0=sl.EstimatorState(1.0, 0.0),
+                        family=sl.tanh_family(), t_final=5.0, p2_law_sign=p2_law_sign)
+
+
 @pytest.mark.parametrize("make_cfg", [
     lambda: sl.load_config("configs/dc_motor_fig2.cfg").sim,
     lambda: sl.load_config("configs/dc_motor_certified.cfg").sim,
     _wide_pair_cfg,
-], ids=["fig2", "certified", "x2max2_tanh_logit"])
+    lambda: _nonlinear_cfg(1.0),
+    lambda: _nonlinear_cfg(-1.0),
+], ids=["fig2", "certified", "x2max2_tanh_logit", "nonlinear_plus", "nonlinear_minus"])
 def test_equilibrium_residual_matches_oracle_composition(make_cfg):
     # certify carries the config's compiled law into z (lifted_stage); the
     # oracle builds the same rates from the plant's shape functions. Both

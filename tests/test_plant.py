@@ -6,7 +6,7 @@ import math
 import pytest
 
 import safelift as sl
-from safelift.errors import InvalidParams, NonFiniteInput
+from safelift.errors import ConfigError, NonFiniteInput
 
 
 class TestDcMotor:
@@ -35,7 +35,7 @@ class TestDcMotor:
     @pytest.mark.parametrize("bad", [dict(J=0.0), dict(b=-0.1), dict(R=math.nan),
                                      dict(Kt=-1.0), dict(Kb=0.0)])
     def test_rejects_nonpositive_constants(self, bad):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.DcMotorParams(**bad)
 
 
@@ -51,7 +51,7 @@ class TestDoubleIntegrator:
         assert plant.theta2_sign == -1.0
 
     def test_zero_gain_rejected(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.double_integrator(0.0)
 
 
@@ -81,7 +81,7 @@ class TestPlantRhs:
 
 class TestPlantDef:
     def test_theta2_nonzero_enforced(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.PlantDef(g1=lambda x: 1.0, f2=lambda a, b: b,
                         g2=lambda a, b: 1.0, theta1=0.0, theta2=0.0)
 
@@ -105,7 +105,7 @@ class TestPlantDef:
 class TestPlantShape:
     @pytest.mark.parametrize("sign", [0.5, 0.0, math.nan])
     def test_sign_must_be_unit(self, motor, sign):
-        with pytest.raises(InvalidParams, match="theta2_sign"):
+        with pytest.raises(ConfigError, match="theta2_sign"):
             sl.PlantShape(g1=motor.g1, f2=motor.f2, g2=motor.g2, theta2_sign=sign)
 
 
@@ -146,7 +146,7 @@ class TestCheckAssumptions:
         assert any("sign-definite" in note for note in report.notes)
 
     def test_grid_size_validated(self, motor, box):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError):
             sl.check_assumptions(motor, box, grid_n=1)
 
     def test_works_on_control_view(self, motor, box):
