@@ -14,9 +14,10 @@ aborted simulation, or assumption-check violations).
 states_input.csv (t, x1, x2, u) and estimation_errors.csv (parameter
 estimation errors against theta1/x2_max and 1/theta2, plain and log10)
 into the output directory, every CSV with 15 significant digits and the
-three written in one pass that formats each shared column once; --svg adds
-simple vector plots of both. `sweep` writes one sweep.csv row per
-parameter combination and keeps going past per-row failures.
+three written in one chunked pass that formats each distinct column once
+per chunk, in one vectorised call; --svg adds simple vector plots of both.
+`sweep` writes one sweep.csv row per parameter combination and keeps going
+past per-row failures.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ is the StepRejected that step and run_lifted raise.
 The logged Lyapunov value uses the true plant parameters. It is a
 diagnostic for the monitor only and is never fed back to the controller.
 
-write_csvs writes several CSV tables in one chunked pass and formats a
-column array that several tables share once; Trajectory.to_csv is its
+write_csvs writes several CSV tables in one chunked pass: per chunk, one
+vectorised "%.15g" call (_g15) formats each distinct column array once,
+every table gathers its cells from that block, and Trajectory.to_csv is the
 one-table case.
 """
 
@@ -36,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._g15 import CELL, format_g15
 from .controller import ControllerGains, EstimatorState, Reference, compile_law
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
@@ -158,76 +160,38 @@ class Trajectory:
         write_csvs([self.csv_table(path)])
 
 
-# write_csvs keeps one chunk of every table's text alive at once. On
-# `safelift run` (fig2 and certified configs), 2048 rows raised the peak
-# memory by about 1.9 MB over writing the files one by one, 1024 rows by
-# about 0.6 MB at the same speed; 256 rows saved 0.3 MB more but wrote slower.
-CSV_CHUNK_ROWS = 1024
+# write_csvs keeps one chunk of every table's cells alive at once. In
+# `safelift run` on the fig2 and certified configs, 256 rows peaked at
+# 41.5 MB, as the replaced %-format writer did; 512 rows took 42.8 MB and
+# 1024 rows 44.8 MB for up to 5% less time, 128 rows 41.0 MB but 7% more.
+CSV_CHUNK_ROWS = 256
 
 
 def write_csvs(tables) -> None:
     """Write CSV tables of numeric columns in one chunked pass.
 
     tables holds (path, header, cols) entries, every column as long as the
-    first. "%.15g" gives the text of f"{v:.15g}", so each file is
-    byte-identical to per-cell formatting. A column array that several
-    tables share is formatted once per chunk: tables are cut into runs of
-    columns (_column_runs), each distinct run is formatted in one call, and
-    a table of several runs joins their lines row by row.
+    first; each column is cast to float64. Each file is byte-identical to
+    per-cell f"{v:.15g}" formatting. Per chunk, the distinct column arrays
+    (by id) are formatted in one format_g15 call, each table gathers its
+    cells from that block, and one translate drops the cells' NUL padding.
     """
-    runs = _column_runs(tables)
-    n = len(tables[0][2][0])
+    distinct = {}  # id(column) -> (its place in each chunk's block, column)
+    layout = [[distinct.setdefault(id(col), (len(distinct), col))[0] for col in cols]
+              for _, _, cols in tables]
+    cols = [np.asarray(col, dtype=np.float64) for _, col in distinct.values()]
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", newline=""))
-                 for path, _, _ in tables]
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
         for fh, (_, header, _) in zip(files, tables):
-            fh.write(header + "\n")
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            text, lines = {}, {}  # run key -> this chunk's rows: one string, a list
-            for fh, table_runs in zip(files, runs):
-                for key, run in table_runs:
-                    if key not in text:
-                        text[key] = _format_rows(run, lo, lo + CSV_CHUNK_ROWS)
-                if len(table_runs) == 1:
-                    fh.write(text[table_runs[0][0]])
-                    continue
-                for key, _ in table_runs:
-                    if key not in lines:
-                        lines[key] = text[key].splitlines()
-                rows = zip(*(lines[key] for key, _ in table_runs))
-                fh.write("\n".join(map(",".join, rows)))
-                fh.write("\n")
-
-
-def _format_rows(cols, lo, hi):
-    """Rows lo:hi of equal-length columns as CSV text, in one %-format call."""
-    block = np.column_stack([c[lo:hi] for c in cols])
-    row_fmt = ",".join(["%.15g"] * len(cols)) + "\n"
-    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
-
-
-def _column_runs(tables):
-    """Per table, its columns cut into (key, run) pairs.
-
-    A run is a maximal stretch of adjacent columns that every table holding
-    one of them holds in the same order, adjacent; so a run's text is the
-    same in every table that uses it. key is the tuple of the run's column
-    ids, under which its formatted text is shared.
-    """
-    where = {}
-    for ti, (_, _, cols) in enumerate(tables):
-        for ci, col in enumerate(cols):
-            where.setdefault(id(col), []).append((ti, ci))
-    out = []
-    for _, _, cols in tables:
-        runs = [[cols[0]]]
-        for a, b in zip(cols, cols[1:]):
-            if [(ti, ci + 1) for ti, ci in where[id(a)]] == where[id(b)]:
-                runs[-1].append(b)
-            else:
-                runs.append([b])
-        out.append([(tuple(map(id, run)), run) for run in runs])
-    return out
+            fh.write(header.encode() + b"\n")
+        for lo in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols])
+            cells = format_g15(block.ravel()).reshape(*block.shape, CELL)
+            for fh, idx in zip(files, layout):
+                rows = cells[:, idx]
+                rows[:, :, -1] = ord(",")
+                rows[:, -1, -1] = ord("\n")
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _rk4(stage, theta, state, dt, a=None):

@@ -349,3 +349,32 @@ class TestWriteCsv:
             per_cell_csv(tmp_path / "want.csv", header, cols)
             assert path.read_bytes() == alone.read_bytes()
             assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestWriteCsvColumnTypes:
+    def test_non_float_columns_match_per_cell_formatting(self, tmp_path):
+        # write_csvs reads every column as float64; ints (odd ones past
+        # 2**53 too), bools and Python lists must still print as each
+        # cell's own f"{v:.15g}".
+        rows = CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(14)
+        ints = rng.integers(-2 ** 62, 2 ** 62, rows)
+        ints[:4] = (0, -7, 10 ** 15, 2 ** 53 + 1)
+        cols = (ints, rng.random(rows) < 0.5, rng.standard_normal(rows).tolist(),
+                list(range(rows)))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csvs([(got, "i,b,f,n", cols)])
+        per_cell_csv(want, "i,b,f,n", cols)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_empty_and_one_sample_tables(self, tmp_path, bench_cfg):
+        empty = (np.array([]), np.array([], dtype=np.int64))
+        write_csvs([(tmp_path / "empty.csv", "a,b", empty)])
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+        # Aborted at t = 0: one logged sample, and no Vdot_num to measure.
+        traj = sl.run(bench_cfg(est0=sl.EstimatorState(1e150, 0.0), t_final=1.0))
+        assert len(traj) == 1 and math.isnan(traj.vdot_numeric[0])
+        table = traj.csv_table(tmp_path / "trace.csv")
+        write_csvs([table])
+        per_cell_csv(tmp_path / "want.csv", *table[1:])
+        assert table[0].read_bytes() == (tmp_path / "want.csv").read_bytes()
