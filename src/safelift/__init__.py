@@ -18,7 +18,7 @@ from .plant import (AssumptionReport, DcMotorParams, PlantDef, PlantShape,
 from .lifted_dynamics import LiftedDynamics
 from .controller import (ControllerGains, ControllerSignals, EstimatorState,
                          Reference, compile_law, evaluate)
-from .simulator import LiftedRun, SimConfig, Trajectory, run, run_lifted, step
+from .simulator import SimConfig, Trajectory, run, run_lifted, step
 from .monitor import (CertThresholds, Certificate, SignAdjudication,
                       adjudicate_p2_sign, certify, lyapunov, vdot_analytic)
 from .config import ExperimentConfig, apply_overrides, load_config, sweep_rows
@@ -31,7 +31,7 @@ __all__ = [
     "lift", "unlift",
     "PlantDef", "PlantShape", "DcMotorParams", "dc_motor", "double_integrator",
     "plant_rhs", "check_assumptions", "AssumptionReport",
-    "LiftedDynamics", "LiftedRun", "run_lifted",
+    "LiftedDynamics", "run_lifted",
     "ControllerGains", "ControllerSignals", "EstimatorState", "Reference",
     "compile_law", "evaluate",
     "SimConfig", "Trajectory", "run", "step",

@@ -109,10 +109,10 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     """Compile the control and adaptation law into one flat closure.
 
     Returns law(x1, x2, p2_hat, theta1_hat) ->
-    (x1', phi, psi, p2_hat', theta1_hat', e1, e2, u), where the plant's
-    second rate is x2' = theta1 * phi + theta2 * psi with phi = f2(x1, x2)
-    and psi = g2(x1, x2) * u. The closure is the RK4 stage of the
-    simulator's hot path, so it builds no frame objects.
+    (x1', phi, psi, p2_hat', theta1_hat', e1, e2, u, x1, x2): the rates,
+    with x2' = theta1 * phi + theta2 * psi, phi = f2(x1, x2) and
+    psi = g2(x1, x2) * u, then the signals and the state it evaluated. As
+    the RK4 stage of the simulator's hot path, it builds no frame objects.
 
     A non-finite stage state or an overflowed u raises NonFiniteInput, a
     state inside the guard band raises DomainViolation, and a zero or
@@ -164,7 +164,7 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
         return (g1v * x2, f2v, g2v * u,
                 p2_law_sign * gam * sgn * c2 * inner,
                 alp * c2 * (d2 * f2v),
-                e1, e2, u)
+                e1, e2, u, x1, x2)
 
     return law
 
@@ -179,6 +179,6 @@ def evaluate(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
     """
     law = compile_law(dyn.plant.control_view(), dyn.safe_set, dyn.family,
                       gains, ref, p2_law_sign)
-    _, _, _, dp2, dth1, e1, e2, u = law(frame.x[0], frame.x[1], est.p2_hat,
-                                        est.theta1_hat)
+    _, _, _, dp2, dth1, e1, e2, u, _, _ = law(frame.x[0], frame.x[1], est.p2_hat,
+                                              est.theta1_hat)
     return ControllerSignals(e1=e1, e2=e2, u=u, dp2_hat=dp2, dtheta1_hat=dth1)

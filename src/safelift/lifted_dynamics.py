@@ -44,8 +44,8 @@ def lifted_stage(law, safe_set: SafeSet, family: FamilySpec):
     law is a compiled control law (controller.compile_law). The stage
     unlifts z, evaluates the law at that x, and applies the chain rule
     z_i' = unsquash_deriv(xn_i) * x_i' to its rates, keeping the regressor
-    form: it returns (z1', phi, psi, p2_hat', theta1_hat') with
-    z2' = theta1 * phi + theta2 * psi.
+    form: (z1', phi, psi) with z2' = theta1 * phi + theta2 * psi, then the
+    rest of the law's tuple, (p2_hat', theta1_hat', e1, e2, u, x1, x2).
     """
     fam1, fam2 = family_pair(family)
     dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
@@ -54,7 +54,7 @@ def lifted_stage(law, safe_set: SafeSet, family: FamilySpec):
         frame = unlift((z1, z2), safe_set, family)
         out = law(frame.x[0], frame.x[1], p2h, th1h)
         d1, d2 = dun1(frame.xn[0]), dun2(frame.xn[1])
-        return (d1 * out[0], d2 * out[1], d2 * out[2], out[3], out[4])
+        return (d1 * out[0], d2 * out[1], d2 * out[2], *out[3:])
 
     return stage
 

@@ -214,7 +214,7 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
 
     law, (th1, th2) = cfg._law
     z1, z2 = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family).z
-    dz1, phi, psi, dp2, dth1 = lifted_stage(law, cfg.safe_set, cfg.family)(
+    dz1, phi, psi, dp2, dth1, *_ = lifted_stage(law, cfg.safe_set, cfg.family)(
         z1, z2, float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
     cert.equilibrium_residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
     return cert

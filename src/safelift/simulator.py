@@ -1,22 +1,23 @@
 """Fixed-step RK4 integration of the augmented closed loop.
 
-The integrated state is (x1, x2, p2_hat, theta1_hat): the plant in its
-original coordinates plus the two parameter estimates, advanced together
-as one ODE. Every RK4 stage evaluates the controller's compiled law, which
-is built from the plant's control view and returns the rates in regressor
-form; _rk4 alone combines them with the true parameters,
-x2' = theta1 * phi + theta2 * psi.
+The integrated state is the plant state plus the two parameter estimates
+(p2_hat, theta1_hat), advanced together as one ODE. Every RK4 stage
+evaluates the controller's compiled law, which is built from the plant's
+control view and returns the rates in regressor form; _rk4 alone combines
+them with the true parameters, x2' = theta1 * phi + theta2 * psi.
 
-run_lifted integrates the same closed loop with the lifted (z1, z2) as the
-state, through the same law carried into z by lifted_dynamics.lifted_stage
-and the same _rk4, and recovers x by unlifting. Agreement of the two
-routes checks the coordinate-change algebra.
+_integrate is the one closed-loop integrator. run passes it the compiled
+law and x0; run_lifted passes the same law carried into z by
+lifted_dynamics.lifted_stage and the lifted x0. Every stage ends its output
+with the plant state x it evaluated, so both routes log the same columns
+from it, and agreement of the two routes checks the coordinate-change
+algebra.
 
 Every stage state must stay strictly inside the safe-set guard band; a
 stage that leaves it aborts the step (the state is never clamped, since a
 clamped trajectory would fake the safety property the run is supposed to
 demonstrate). An aborted run keeps the partial trajectory, and its failure
-is the StepRejected that step and run_lifted raise.
+is the StepRejected that step raises.
 
 The logged Lyapunov value uses the true plant parameters. It is a
 diagnostic for the monitor only and is never fed back to the controller.
@@ -42,7 +43,7 @@ from .controller import ControllerGains, EstimatorState, Reference, compile_law
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
 from .lifted_dynamics import LiftedDynamics, lifted_stage
-from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family, unlift
+from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family
 from .monitor import lyapunov_fn, vdot_analytic
 from .plant import PlantDef
 
@@ -53,8 +54,10 @@ _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 class SimConfig:
     """A fully specified closed-loop experiment.
 
-    sign(theta2) is stored only in the plant and the target only as x1d;
-    reference derives from x1d and is checked when the config is built.
+    plant is the full PlantDef, since the integrator needs the true
+    parameters. sign(theta2) is stored only in the plant and the target only
+    as x1d; reference derives from x1d and is checked when the config is
+    built.
     t_final is rounded to a whole number of dt steps. log_stride thins the
     trajectory record (every Nth step plus the final state). p2_law_sign
     selects the p2_hat update sign, +1 by default (see the controller
@@ -74,6 +77,9 @@ class SimConfig:
     p2_law_sign: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.plant, PlantDef):
+            raise ConfigError("a simulation needs a PlantDef, with the true "
+                              f"parameters, got {type(self.plant).__name__}")
         self.reference  # refuses a target outside the box
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
@@ -237,34 +243,43 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
 
 
-def run(cfg: SimConfig) -> Trajectory:
-    """Integrate the closed loop to t_final (or to the first failure).
+def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
+    """The closed loop from (s0, est0) to t_final, or to the first failure.
 
-    The trajectory includes the analytic Lyapunov rate
-    -(sqrt(k1) e1 - sqrt(k2) e2)^2 and a numeric rate obtained by
-    differentiating the logged V, so the monitor can compare them.
+    stage is an RK4 stage in regressor form whose output ends with the
+    plant state it evaluated, (..., e1, e2, u, x1, x2); s0 is the initial
+    point in the stage's own coordinates. The trajectory includes the
+    analytic Lyapunov rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and a numeric rate
+    obtained by differentiating the logged V, so the monitor can compare
+    them.
     """
-    law, theta = cfg._law
+    _, theta = cfg._law
     vfun = lyapunov_fn(cfg.dynamics(), cfg.gains)
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
-    cols = np.empty((9, n_log))
+    try:
+        cols = np.empty((9, n_log))
+    except (MemoryError, ValueError):
+        raise ConfigError(
+            f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
+            f"log_stride={stride}) cannot be allocated") from None
     ct, cx1, cx2, cp2h, cth1h, ce1, ce2, cu, cv = cols
-    state = (cfg.x0[0], cfg.x0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
+    state = (s0[0], s0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
     failure = None
     j = 0
     for i in range(n + 1):
         out = None  # a logged step's stage evaluation doubles as RK4's first stage
         try:
             if i % stride == 0 or i == n:
-                x1, x2, p2h, th1h = state
-                out = law(x1, x2, p2h, th1h)
+                s1, s2, p2h, th1h = state
+                out = stage(s1, s2, p2h, th1h)
+                x2 = out[9]
                 e1 = out[5]
                 ct[j] = i * dt
-                cx1[j] = x1
+                cx1[j] = out[8]
                 cx2[j] = x2
                 cp2h[j] = p2h
                 cth1h[j] = th1h
@@ -275,7 +290,7 @@ def run(cfg: SimConfig) -> Trajectory:
                 j += 1
             if i == n:
                 break
-            state = _rk4(law, theta, state, dt, a=out)
+            state = _rk4(stage, theta, state, dt, a=out)
         except _STAGE_ERRORS as exc:
             failure = StepRejected(i * dt, exc)
             break
@@ -300,42 +315,18 @@ def run(cfg: SimConfig) -> Trajectory:
         failure=failure)
 
 
-@dataclass
-class LiftedRun:
-    """Closed-loop trajectory integrated in z coordinates."""
-
-    t: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    p2_hat: np.ndarray
-    theta1_hat: np.ndarray
+def run(cfg: SimConfig) -> Trajectory:
+    """Integrate the closed loop in x to t_final (or to the first failure)."""
+    return _integrate(cfg, cfg._law[0], cfg.x0)
 
 
-def run_lifted(cfg: SimConfig) -> LiftedRun:
-    """Integrate the closed loop with (z1, z2, p2_hat, theta1_hat) as the state.
+def run_lifted(cfg: SimConfig) -> Trajectory:
+    """Integrate the same closed loop with the lifted (z1, z2) as the state.
 
-    Each stage is lifted_dynamics.lifted_stage over the config's compiled
-    law, in the regressor form _rk4 takes. The logged x comes from unlift. A
-    stage inside the guard band or with a non-finite value raises
-    StepRejected with the time of the step, as step does: a z that only maps
-    into the box because the squash rounds to the boundary is a divergence,
-    not a safe state.
+    The stage is lifted_dynamics.lifted_stage over the config's compiled
+    law. A z that only maps into the box because the squash rounds to the
+    boundary is a divergence, not a safe state: its stage sits in the guard
+    band, and the run records the abort as run does.
     """
-    law, theta = cfg._law
     ss, fam = cfg.safe_set, cfg.family
-    stage = lifted_stage(law, ss, fam)
-    n, dt = cfg.n_steps, cfg.dt
-    state = (*lift(cfg.x0, ss, fam).z, cfg.est0.p2_hat, cfg.est0.theta1_hat)
-    cols = np.empty((4, n + 1))
-    cols[:, 0] = state
-    for i in range(n):
-        try:
-            state = _rk4(stage, theta, state, dt)
-        except _STAGE_ERRORS as exc:
-            raise StepRejected(i * dt, exc) from exc
-        cols[:, i + 1] = state
-    x = np.array([unlift(z, ss, fam).x for z in zip(cols[0], cols[1])])
-    return LiftedRun(t=np.arange(n + 1) * dt, z1=cols[0], z2=cols[1],
-                     x1=x[:, 0], x2=x[:, 1], p2_hat=cols[2], theta1_hat=cols[3])
+    return _integrate(cfg, lifted_stage(cfg._law[0], ss, fam), lift(cfg.x0, ss, fam).z)

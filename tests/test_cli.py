@@ -56,6 +56,23 @@ def test_unusable_out_dir_is_config_error(tmp_path, capsys, command, out):
     assert err[0].startswith("configuration error: ") and str(out) in err[0]
 
 
+# Horizons whose log cannot be allocated: 1e12 s is a 63.9 PiB log, and 1e300 s
+# exceeds NumPy's largest dimension. Both fail at once, allocating nothing.
+@pytest.mark.parametrize("t_final", ["1e12", "1e300"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unloggable_horizon_is_config_error(tmp_path, capsys, command, t_final):
+    body = BASE.replace("t_final = 2.0", f"t_final = {t_final}")
+    if command == "sweep":
+        body += "\n[sweep]\nk1 = 1.0\n"
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: ")
+    for fragment in (f"t_final={float(t_final)}", "dt=0.001", "log_stride=1", "samples"):
+        assert fragment in err[0]
+
+
 class TestRunCommand:
     def test_near_boundary_scenario_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -153,6 +170,16 @@ class TestRunCommand:
             text = (out / name).read_text()
             assert text.startswith("<svg")
             assert "polyline" in text
+
+    def test_svg_of_a_run_at_rest(self, tmp_path):
+        # Every plotted series is flat, so each panel pads its value range.
+        body = BASE.replace("x1d = -1.9", "x1d = 0.0").replace("x2 = 0.9", "x2 = 0.0")
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, body), "--out", str(out), "--svg"]) == 0
+        for name in ("states_input.svg", "estimation_errors.svg"):
+            text = (out / name).read_text()
+            assert "polyline" in text
+            assert "nan" not in text and "inf" not in text
 
     def test_zero_initial_estimate_is_config_error(self, tmp_path, capsys):
         body = BASE.replace("x2 = 0.9", "x2 = 0.9\np2_hat = 0.0")

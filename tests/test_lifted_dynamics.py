@@ -120,6 +120,13 @@ class TestLiftedRhs:
         with pytest.raises(SingularityDetected):
             bad.rhs((0.0, 0.5), 0.0)
 
+    def test_non_finite_drift_regressor_detected(self, box, tanh_fam):
+        plant = sl.PlantDef(g1=lambda x1: 1.0, f2=lambda x1, x2: math.inf,
+                            g2=lambda x1, x2: 1.0, theta1=1.0, theta2=1.0)
+        bad = sl.LiftedDynamics(plant=plant, safe_set=box, family=tanh_fam)
+        with pytest.raises(SingularityDetected, match="lifted drift regressor inf"):
+            bad.rhs((0.0, 0.5), 0.0)
+
 
 class TestPushforwardOracle:
     def test_lifted_rhs_matches_finite_difference_pushforward(
@@ -164,7 +171,7 @@ class TestRunLifted:
         ec = sl.load_config(REPO / "configs" / "dc_motor_fig2.cfg")
         cfg = dataclasses.replace(ec.sim, x0=(0.0, 0.999999), p2_law_sign=-1.0,
                                   t_final=10.0)
-        with pytest.raises(StepRejected) as err:
-            sl.run_lifted(cfg)
-        assert err.value.time == 0.0
-        assert isinstance(err.value.cause, sl.DomainViolation)
+        failure = sl.run_lifted(cfg).failure
+        assert isinstance(failure, StepRejected)
+        assert failure.time == 0.0
+        assert isinstance(failure.cause, sl.DomainViolation)

@@ -85,6 +85,12 @@ class TestPlantDef:
             sl.PlantDef(g1=lambda x: 1.0, f2=lambda a, b: b,
                         g2=lambda a, b: 1.0, theta1=0.0, theta2=0.0)
 
+    @pytest.mark.parametrize("theta1", [math.nan, math.inf, -math.inf])
+    def test_theta1_finite_enforced(self, theta1):
+        with pytest.raises(ConfigError, match="theta1 must be finite"):
+            sl.PlantDef(g1=lambda x: 1.0, f2=lambda a, b: b,
+                        g2=lambda a, b: 1.0, theta1=theta1, theta2=1.0)
+
     def test_control_view_hides_parameters(self, motor):
         view = motor.control_view()
         assert not hasattr(view, "theta1")
@@ -156,3 +162,22 @@ class TestCheckAssumptions:
     def test_summary_text(self, motor, box):
         text = sl.check_assumptions(motor, box, grid_n=5).summary()
         assert "pass" in text
+
+    def test_drift_vanishing_off_axis_summary(self, box):
+        # f2 = x1 x2 vanishes on the x1 = 0 column of the 21 x 21 grid, at
+        # each of its 20 samples off the x2 = 0 line.
+        plant = sl.PlantDef(g1=lambda x1: 1.0, f2=lambda x1, x2: x1 * x2,
+                            g2=lambda x1, x2: 1.0, theta1=1.0, theta2=1.0)
+        lines = sl.check_assumptions(plant, box).summary().splitlines()
+        assert lines[0] == "assumption check on a 21 x 21 interior grid: FAIL"
+        assert len(lines) == 21
+        assert all(line.startswith("  violation: f2_nonzero_off_axis at (0.0, ")
+                   and line.endswith("), value 0.0") for line in lines[1:])
+
+    def test_sign_definite_drift_summary(self, box):
+        plant = sl.PlantDef(g1=lambda x1: 1.0, f2=lambda x1, x2: x2 * x2,
+                            g2=lambda x1, x2: 1.0, theta1=1.0, theta2=1.0)
+        assert sl.check_assumptions(plant, box).summary().splitlines() == [
+            "assumption check on a 21 x 21 interior grid: pass",
+            "  note: f2 is sign-definite on the sampled grid (never changes sign "
+            "off the x2 = 0 line); the drift can only push x2 one way"]

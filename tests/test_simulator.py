@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from safelift.errors import ConfigError, StepRejected
 from safelift import simulator
 from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
 
+REPO = Path(__file__).resolve().parent.parent
 V0_BENCH = 57.441257570906908
 
 
@@ -49,6 +51,11 @@ class TestSimConfigValidation:
     def test_boundary_start_rejected(self, bench_cfg):
         with pytest.raises(ConfigError):
             bench_cfg(x0=(0.0, 1.0))
+
+    def test_controller_view_refused(self, bench_cfg, motor):
+        # The simulator needs theta1/theta2, which the control view hides.
+        with pytest.raises(ConfigError, match="PlantDef"):
+            bench_cfg(plant=motor.control_view())
 
 
 class TestStep:
@@ -232,6 +239,56 @@ class TestRun:
         p3 = sl.run(c3).p2_hat[-1]
         order = math.log2(abs(p1 - p2) / abs(p2 - p3))
         assert order > 3.0
+
+
+# A plant whose virtual gain or lifted input gain is identically zero: the
+# law's first evaluation must abort the run, not divide by zero.
+SINGULAR = [
+    (sl.PlantDef(g1=lambda x1: 0.0, f2=lambda x1, x2: x2, g2=lambda x1, x2: 1.0,
+                 theta1=1.0, theta2=1.0), "virtual gain 0.0 at x1="),
+    (sl.PlantDef(g1=lambda x1: 1.0, f2=lambda x1, x2: x2, g2=lambda x1, x2: 0.0,
+                 theta1=1.0, theta2=1.0), "lifted input gain 0.0 at ("),
+]
+
+
+class TestRoutes:
+    """run and run_lifted: one integrator, one record, two coordinate systems."""
+
+    @pytest.mark.parametrize("route", [sl.run, sl.run_lifted], ids=["x", "z"])
+    @pytest.mark.parametrize("plant, text", SINGULAR, ids=["g1-zero", "g2-zero"])
+    def test_singular_gain_aborts_at_start(self, bench_cfg, route, plant, text):
+        traj = route(bench_cfg(plant=plant, t_final=1.0))
+        assert len(traj) == 0
+        assert traj.failure.kind == "SingularityDetected"
+        assert traj.failure.time == 0.0
+        assert str(traj.failure.cause).startswith(text)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_z_route_columns_match_x_route(self, bench_cfg, sign):
+        # Criterion 2's tolerance over its 10 s horizon, on every state column.
+        cfg = bench_cfg(t_final=10.0, p2_law_sign=sign)
+        xrun, zrun = sl.run(cfg), sl.run_lifted(cfg)
+        assert xrun.completed and zrun.completed
+        assert np.array_equal(zrun.t, xrun.t)
+        for name in ("x1", "x2", "p2_hat", "theta1_hat"):
+            assert np.max(np.abs(getattr(zrun, name) - getattr(xrun, name))) < 1e-5, name
+
+    def test_both_routes_certify_on_the_certified_config(self):
+        ec = sl.load_config(REPO / "configs" / "dc_motor_certified.cfg")
+        cfg = dataclasses.replace(ec.sim, t_final=10.0)
+        xrun, zrun = sl.run(cfg), sl.run_lifted(cfg)
+        assert sl.certify(xrun, cfg, ec.thresholds).all_pass
+        assert sl.certify(zrun, cfg, ec.thresholds).all_pass
+        assert np.max(np.abs(zrun.v - xrun.v)) < 1e-6
+        assert np.max(np.abs(zrun.u - xrun.u)) < 1e-6
+
+    def test_z_route_log_stride_does_not_change_arithmetic(self, bench_cfg):
+        dense = sl.run_lifted(bench_cfg(t_final=1.0))
+        thin = sl.run_lifted(bench_cfg(t_final=1.0, log_stride=7))
+        idx = np.round(thin.t / 1e-3).astype(int)
+        assert idx[-1] == len(dense) - 1
+        for name in ("t", "x1", "x2", "z1", "z2", "p2_hat", "theta1_hat", "u", "v"):
+            assert np.array_equal(getattr(thin, name), getattr(dense, name)[idx]), name
 
 
 class TestNonlinearPlant:
