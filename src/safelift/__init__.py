@@ -13,9 +13,9 @@ from .errors import (ConfigError, DomainViolation, NonFiniteInput,
 from .lifting import (EPS_DOMAIN, CoordinateFrame, LiftingFamily, SafeSet,
                       family_names, family_pair, get_family, lift,
                       logit_family, tanh_family, unlift)
-from .plant import (AssumptionReport, DcMotorParams, PlantDef, PlantShape,
-                    check_assumptions, dc_motor, double_integrator, plant_rhs)
-from .lifted_dynamics import LiftedDynamics
+from .plant import (AssumptionReport, DcMotorParams, LiftedDynamics, PlantDef,
+                    PlantShape, check_assumptions, dc_motor, double_integrator,
+                    plant_rhs)
 from .controller import (ControllerGains, ControllerSignals, EstimatorState,
                          Reference, compile_law, evaluate)
 from .simulator import SimConfig, Trajectory, run, run_lifted, step

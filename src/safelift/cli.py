@@ -7,8 +7,9 @@ Subcommands:
     safelift check-assumptions <config> [--grid N]
     safelift version
 
-Exit codes: 0 success, 2 configuration error, 3 runtime violation (an
-aborted simulation, or assumption-check violations).
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written too), 3 runtime violation (an aborted simulation, or
+assumption-check violations).
 
 `run` writes trace.csv (the full trajectory), cert.txt (the certificate),
 states_input.csv (t, x1, x2, u) and estimation_errors.csv (parameter
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,17 @@ def _out_dir(args, ec) -> Path:
     return out_dir
 
 
+@contextmanager
+def _writing(out_dir):
+    """Turn an artifact that cannot be written (a directory in its place, no
+    permission, a full disk) into a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _cmd_run(args) -> int:
     ec = load_config(args.config)
     out_dir = _out_dir(args, ec)
@@ -115,19 +128,21 @@ def _cmd_run(args) -> int:
     cert = certify(traj, ec.sim, ec.thresholds)
 
     errors = _estimation_errors(traj, ec.sim.plant, ec.sim.safe_set)
-    write_csvs([traj.csv_table(out_dir / "trace.csv"),
-                (out_dir / "states_input.csv", "t,x1,x2,u",
-                 (traj.t, traj.x1, traj.x2, traj.u)),
-                (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
-                 (traj.t, *errors))])
-    (out_dir / "cert.txt").write_text(cert.to_report())
-    if args.svg and len(traj):
-        _render_svg(out_dir / "states_input.svg", "states and control input",
-                    traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
-        _, _, th1_log, p2_log = errors
-        _render_svg(out_dir / "estimation_errors.svg",
-                    "log10 parameter estimation errors",
-                    traj.t, [("log10|theta1 err|", th1_log), ("log10|p2 err|", p2_log)])
+    with _writing(out_dir):
+        write_csvs([traj.csv_table(out_dir / "trace.csv"),
+                    (out_dir / "states_input.csv", "t,x1,x2,u",
+                     (traj.t, traj.x1, traj.x2, traj.u)),
+                    (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
+                     (traj.t, *errors))])
+        (out_dir / "cert.txt").write_text(cert.to_report())
+        if args.svg and len(traj):
+            _render_svg(out_dir / "states_input.svg", "states and control input",
+                        traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
+            _, _, th1_log, p2_log = errors
+            _render_svg(out_dir / "estimation_errors.svg",
+                        "log10 parameter estimation errors",
+                        traj.t, [("log10|theta1 err|", th1_log),
+                                 ("log10|p2 err|", p2_log)])
 
     fail = traj.failure
     if fail is not None:
@@ -166,7 +181,7 @@ def _cmd_sweep(args) -> int:
                     f"{cert.worst_v_increment:.15g},"
                     f"{'yes' if cert.safe_invariance else 'no'},"
                     f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    with _writing(out_dir), open(out_dir / "sweep.csv", "w", newline="") as fh:
         fh.write(_SWEEP_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")

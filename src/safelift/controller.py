@@ -31,7 +31,9 @@ form. The unknown parameters enter the plant linearly, x2' = theta1 phi +
 theta2 psi, so the law returns phi and psi and leaves the sum to the
 integrator. It takes a PlantShape (the shape functions g1, f2, g2 and
 sign(theta2)) and refuses anything else, so the controller cannot read the
-true parameter values: the firewall is the argument type.
+true parameter values: the firewall is the argument type. lifted_stage
+carries that law into z by the chain rule; run_lifted integrates it and
+certify's equilibrium residual evaluates it.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from dataclasses import dataclass
 
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, require_positive)
-from .lifted_dynamics import LiftedDynamics
 from .lifting import (EPS_DOMAIN, CoordinateFrame, SafeSet, FamilySpec,
-                      family_pair)
-from .plant import PlantShape
+                      family_pair, unlift)
+from .plant import LiftedDynamics, PlantShape
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,27 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
                 e1, e2, u, x1, x2)
 
     return law
+
+
+def lifted_stage(law, safe_set: SafeSet, family: FamilySpec):
+    """The law's closed loop with (z1, z2, p2_hat, theta1_hat) as state.
+
+    The stage unlifts z, evaluates the compiled law at that x, and applies
+    the chain rule z_i' = unsquash_deriv(xn_i) * x_i' to its rates, keeping
+    the regressor form: (z1', phi, psi) with z2' = theta1 * phi + theta2 *
+    psi, then the rest of the law's tuple, (p2_hat', theta1_hat', e1, e2,
+    u, x1, x2).
+    """
+    fam1, fam2 = family_pair(family)
+    dun1, dun2 = fam1.unsquash_deriv, fam2.unsquash_deriv
+
+    def stage(z1, z2, p2h, th1h):
+        frame = unlift((z1, z2), safe_set, family)
+        out = law(frame.x[0], frame.x[1], p2h, th1h)
+        d1, d2 = dun1(frame.xn[0]), dun2(frame.xn[1])
+        return (d1 * out[0], d2 * out[1], d2 * out[2], *out[3:])
+
+    return stage
 
 
 def evaluate(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,

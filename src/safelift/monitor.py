@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import EstimatorState, Reference, ControllerGains
-from .lifted_dynamics import LiftedDynamics, lifted_stage
-from .lifting import CoordinateFrame, family_pair, lift
+from .controller import EstimatorState, Reference, ControllerGains, lifted_stage
+from .lifting import CoordinateFrame, family_pair
 from .errors import ConfigError, require_positive
 
 
@@ -41,24 +40,24 @@ def estimate_targets(plant, safe_set) -> tuple[float, float]:
     return plant.theta1 / safe_set.x2_max, 1.0 / plant.theta2
 
 
-def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
+def lyapunov_fn(plant, safe_set, family, gains: ControllerGains):
     """Compile V into v(x2, p2_hat, theta1_hat, e1).
 
     Both lyapunov and the simulator's logged V column evaluate this one
-    function. dyn must be truth-backed (its plant carries theta1/theta2).
-    The estimate terms are centred on estimate_targets; with that centring
+    function. plant must be truth-backed (carry theta1/theta2). The
+    estimate terms are centred on estimate_targets; with that centring
     the analytic decrease law holds for any box size.
     """
     try:
-        th1e, p2 = estimate_targets(dyn.plant, dyn.safe_set)
+        th1e, p2 = estimate_targets(plant, safe_set)
     except AttributeError:
         raise ConfigError(
             "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
             "got the controller-facing view") from None
-    xb2 = dyn.safe_set.x2_max
-    _, fam2 = family_pair(dyn.family)
+    xb2 = safe_set.x2_max
+    _, fam2 = family_pair(family)
     un2, vcal2 = fam2.unsquash, fam2.squash_integral
-    ath2 = abs(dyn.plant.theta2)
+    ath2 = abs(plant.theta2)
     gam, alp = gains.gamma, gains.alpha
 
     def v(x2, p2h, th1h, e1):
@@ -70,15 +69,16 @@ def lyapunov_fn(dyn: LiftedDynamics, gains: ControllerGains):
     return v
 
 
-def lyapunov(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
+def lyapunov(dyn, frame: CoordinateFrame, ref: Reference,
              gains: ControllerGains, est: EstimatorState) -> float:
     """Composite Lyapunov value at one state.
 
-    dyn must be truth-backed (its plant carries theta1/theta2);
-    nonnegative, and zero exactly at the equilibrium with exact estimates.
+    dyn is a plant.LiftedDynamics whose plant is truth-backed (carries
+    theta1/theta2); nonnegative, and zero exactly at the equilibrium with
+    exact estimates.
     """
-    return lyapunov_fn(dyn, gains)(frame.x[1], est.p2_hat, est.theta1_hat,
-                                   frame.z[0] - ref.z1d)
+    return lyapunov_fn(dyn.plant, dyn.safe_set, dyn.family, gains)(
+        frame.x[1], est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)
 
 
 def vdot_analytic(e1: float, e2: float, gains: ControllerGains) -> float:
@@ -213,9 +213,8 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     cert.final_z2 = float(traj.z2[-1])
 
     law, (th1, th2) = cfg._law
-    z1, z2 = lift((traj.x1[-1], traj.x2[-1]), cfg.safe_set, cfg.family).z
     dz1, phi, psi, dp2, dth1, *_ = lifted_stage(law, cfg.safe_set, cfg.family)(
-        z1, z2, float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
+        traj.z1[-1], traj.z2[-1], float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
     cert.equilibrium_residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
     return cert
 

@@ -14,6 +14,9 @@ Structural assumptions, checkable by grid sampling:
   1. f2(x1, x2) = 0 exactly when x2 = 0 (keeps the drift uncertainty
      excited whenever the state moves);
   2. g1 and g2 are nonzero on the safe set (well-posedness of the design).
+
+plant_rhs (in x) and LiftedDynamics (in z) are the simulation oracles that
+tests and benchmarks compare the controller's compiled law against.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import ConfigError, NonFiniteInput, require_positive
-from .lifting import SafeSet
+from .errors import (ConfigError, NonFiniteInput, SingularityDetected,
+                     require_positive)
+from .lifting import CoordinateFrame, FamilySpec, SafeSet, family_pair, unlift
 
 ScalarFn = Callable[[float], float]
 StateFn = Callable[[float, float], float]
@@ -156,6 +160,67 @@ def plant_rhs(plant: PlantDef, x: Sequence[float], u: float) -> tuple[float, flo
         raise NonFiniteInput(f"plant_rhs given non-finite input ({x1}, {x2}, u={u})")
     return (plant.g1(x1) * x2,
             plant.f2(x1, x2) * plant.theta1 + plant.g2(x1, x2) * u * plant.theta2)
+
+
+@dataclass(frozen=True)
+class LiftedDynamics:
+    """Plant + safe set + lifting family, viewed in z coordinates:
+
+        z1' = virtual_gain * squash(zn2)
+        z2' = drift_regressor * theta1 + input_gain * u * theta2
+
+    with virtual_gain = unsquash_deriv(xn1) g1 x2_max, drift_regressor =
+    unsquash_deriv(xn2) f2 and input_gain = unsquash_deriv(xn2) g2. Both
+    z-rates vanish at z2 = 0, so (z1_ref, 0, u=0) is an equilibrium.
+
+    fields and rhs are the independent oracle for controller.lifted_stage.
+    plant may be a PlantDef or a PlantShape; only rhs needs theta1/theta2.
+    """
+
+    plant: object
+    safe_set: SafeSet
+    family: FamilySpec
+
+    def fields(self, z: Sequence[float]) -> tuple[float, float, float]:
+        """(virtual_gain, drift_regressor, input_gain) at the lifted state z.
+
+        Raises SingularityDetected where either gain is zero or non-finite,
+        or the regressor is non-finite.
+        """
+        return self._fields_at(unlift(z, self.safe_set, self.family))
+
+    def _fields_at(self, frame: CoordinateFrame) -> tuple[float, float, float]:
+        fam1, fam2 = family_pair(self.family)
+        x1, x2 = frame.x
+        c1, c2 = frame.xn
+        vgain = fam1.unsquash_deriv(c1) * self.plant.g1(x1) * self.safe_set.x2_max
+        if vgain == 0.0 or not math.isfinite(vgain):
+            raise SingularityDetected(f"virtual gain {vgain!r} at x1={x1}")
+        d2 = fam2.unsquash_deriv(c2)
+        regressor = d2 * self.plant.f2(x1, x2)
+        igain = d2 * self.plant.g2(x1, x2)
+        if igain == 0.0 or not math.isfinite(igain):
+            raise SingularityDetected(f"lifted input gain {igain!r} at ({x1}, {x2})")
+        if not math.isfinite(regressor):
+            raise SingularityDetected(f"lifted drift regressor {regressor!r} at ({x1}, {x2})")
+        return vgain, regressor, igain
+
+    def rhs(self, z: Sequence[float], u: float) -> tuple[float, float]:
+        """z-coordinate state derivative using the hidden true parameters.
+
+        Only valid over a truth-backed plant; the controller-facing view
+        deliberately cannot drive this.
+        """
+        try:
+            th1, th2 = self.plant.theta1, self.plant.theta2
+        except AttributeError:
+            raise ConfigError(
+                "rhs needs a truth-backed plant with theta1/theta2; got the "
+                "controller-facing view") from None
+        frame = unlift(z, self.safe_set, self.family)
+        vgain, regressor, igain = self._fields_at(frame)
+        return (vgain * frame.xn[1],
+                regressor * th1 + igain * u * th2)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ them with the true parameters, x2' = theta1 * phi + theta2 * psi.
 
 _integrate is the one closed-loop integrator. run passes it the compiled
 law and x0; run_lifted passes the same law carried into z by
-lifted_dynamics.lifted_stage and the lifted x0. Every stage ends its output
+controller.lifted_stage and the lifted x0. Every stage ends its output
 with the plant state x it evaluated, so both routes log the same columns
 from it, and agreement of the two routes checks the coordinate-change
 algebra.
@@ -39,13 +39,13 @@ from typing import Optional
 import numpy as np
 
 from ._g15 import CELL, format_g15
-from .controller import ControllerGains, EstimatorState, Reference, compile_law
+from .controller import (ControllerGains, EstimatorState, Reference, compile_law,
+                         lifted_stage)
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
-from .lifted_dynamics import LiftedDynamics, lifted_stage
 from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family
 from .monitor import lyapunov_fn, vdot_analytic
-from .plant import PlantDef
+from .plant import LiftedDynamics, PlantDef
 
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 
@@ -110,7 +110,7 @@ class SimConfig:
         return round(self.t_final / self.dt)
 
     def dynamics(self) -> LiftedDynamics:
-        """Truth-backed lifted dynamics (for simulation and monitoring)."""
+        """The truth-backed z-oracle, for tests and benchmarks; no run builds it."""
         return LiftedDynamics(plant=self.plant, safe_set=self.safe_set,
                               family=self.family)
 
@@ -254,7 +254,7 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     them.
     """
     _, theta = cfg._law
-    vfun = lyapunov_fn(cfg.dynamics(), cfg.gains)
+    vfun = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
@@ -323,10 +323,10 @@ def run(cfg: SimConfig) -> Trajectory:
 def run_lifted(cfg: SimConfig) -> Trajectory:
     """Integrate the same closed loop with the lifted (z1, z2) as the state.
 
-    The stage is lifted_dynamics.lifted_stage over the config's compiled
-    law. A z that only maps into the box because the squash rounds to the
-    boundary is a divergence, not a safe state: its stage sits in the guard
-    band, and the run records the abort as run does.
+    The stage is controller.lifted_stage over the config's compiled law. A
+    z that only maps into the box because the squash rounds to the boundary
+    is a divergence, not a safe state: its stage sits in the guard band,
+    and the run records the abort as run does.
     """
     ss, fam = cfg.safe_set, cfg.family
     return _integrate(cfg, lifted_stage(cfg._law[0], ss, fam), lift(cfg.x0, ss, fam).z)

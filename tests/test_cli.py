@@ -1,7 +1,11 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 
 import csv
+import importlib
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,8 +14,12 @@ import numpy as np
 import pytest
 
 import safelift as sl
+from safelift import cli
 from safelift.cli import _ERRORS_HEADER, _estimation_errors, main
+from safelift.errors import SingularityDetected
 from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
+
+REPO = Path(__file__).resolve().parent.parent
 
 FIG2 = "configs/dc_motor_fig2.cfg"
 CERTIFIED = "configs/dc_motor_certified.cfg"
@@ -54,6 +62,26 @@ def test_unusable_out_dir_is_config_error(tmp_path, capsys, command, out):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("configuration error: ") and str(out) in err[0]
+
+
+@pytest.mark.parametrize("command, artifact", [("run", "trace.csv"), ("sweep", "sweep.csv")])
+def test_unwritable_artifact_is_config_error(tmp_path, capsys, command, artifact):
+    body = BASE + ("\n[sweep]\nk1 = 1.0\n" if command == "sweep" else "")
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)  # a directory where the file goes
+    assert main([command, write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: cannot write {out / artifact}: ")
+
+
+def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(sim):
+        raise SingularityDetected("virtual gain 0.0 at x1=0.0")
+
+    monkeypatch.setattr(cli, "run_sim", singular)
+    assert main(["run", write_cfg(tmp_path, BASE), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: virtual gain 0.0 at x1=0.0\n"
 
 
 # Horizons whose log cannot be allocated: 1e12 s is a 63.9 PiB log, and 1e300 s
@@ -248,6 +276,14 @@ class TestRunCommand:
         assert "cannot parse" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_mark_is_allowed(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + Path(FIG2).read_bytes())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "bom")]) == 0
+        assert main(["run", FIG2, "--out", str(tmp_path / "plain")]) == 0
+        assert ((tmp_path / "bom" / "trace.csv").read_bytes()
+                == (tmp_path / "plain" / "trace.csv").read_bytes())
+
     # With --svg there is no sample to plot, so no SVG is written.
     @pytest.mark.parametrize("flags", [[], ["--svg"]], ids=["plain", "svg"])
     def test_abort_at_start_writes_header_only_csvs(self, tmp_path, capsys, flags):
@@ -398,3 +434,17 @@ class TestVersionCommand:
         # has no tomllib).
         text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
         assert re.search(r'^version = "(.*)"$', text, re.M).group(1) == sl.__version__
+
+    def test_console_script_is_main(self):
+        text = (REPO / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        target = re.search(r'^safelift = "(.*)"$', scripts.group(1), re.M).group(1)
+        assert target == "safelift.cli:main"
+        module, name = target.split(":")
+        assert getattr(importlib.import_module(module), name) is main
+
+    def test_module_runs_as_a_script(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-m", "safelift.cli", "version"],
+                              env=env, capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stdout) == (0, f"safelift {sl.__version__}\n")

@@ -211,6 +211,14 @@ class TestUnlift:
                 assert abs(x1) < box.x1_max
                 assert abs(x2) < box.x2_max
 
+    def test_subnormal_bounds_stay_strictly_inside(self, tanh_fam):
+        # At or below the smallest normal double, xb * c rounds back onto xb
+        # even for c one ulp below 1; unlift then steps one ulp inward.
+        box = sl.SafeSet(1e-310, 3e-310)
+        assert 1e-310 * math.nextafter(1.0, 0.0) == 1e-310
+        x1, x2 = sl.unlift((1.0, 1.0), box, tanh_fam).x
+        assert 0.0 < x1 < box.x1_max and 0.0 < x2 < box.x2_max
+
     def test_non_finite(self, box, tanh_fam):
         with pytest.raises(NonFiniteInput):
             sl.unlift((math.inf, 0.0), box, tanh_fam)

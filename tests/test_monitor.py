@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import safelift as sl
-from safelift import controller, simulator
+from safelift import controller, monitor, simulator
 from safelift.errors import ConfigError
 
 from conftest import NONLINEAR_PLANT
@@ -151,6 +151,13 @@ class TestCertify:
         assert not cert.lyapunov_monotone
         assert math.isnan(cert.worst_v_increment)
         assert math.isnan(cert.vdot_identity_error)
+
+    def test_first_sample_outside_the_box_is_timestamped(self, run_plus, bench_cfg):
+        mask = np.ones(len(run_plus), dtype=bool)
+        mask[1234] = False
+        cert = sl.certify(dataclasses.replace(run_plus, in_safe_set=mask), bench_cfg())
+        assert not cert.safe_invariance
+        assert cert.first_violation_time == run_plus.t[1234]
 
     def test_empty_trajectory_certificate(self, bench_cfg):
         cfg = bench_cfg(est0=sl.EstimatorState(1e308, 0.0), t_final=1.0)
@@ -345,6 +352,13 @@ class TestSignAdjudication:
         report = adj.to_report()
         assert "p2_law_sign=+1" in report and "p2_law_sign=-1" in report
         assert "tracking_error_final" in report
+
+    def test_minus_law_wins_when_only_it_is_monotone(self, bench_cfg, monkeypatch):
+        def certify_minus_monotone(traj, cfg, thresholds=None):
+            return sl.Certificate(failure=None, lyapunov_monotone=cfg.p2_law_sign < 0)
+
+        monkeypatch.setattr(monitor, "certify", certify_minus_monotone)
+        assert sl.adjudicate_p2_sign(bench_cfg(t_final=0.05)).recommended_sign == -1.0
 
     def test_default_sign_matches_recommendation(self, bench_cfg):
         assert bench_cfg().p2_law_sign == 1.0
