@@ -60,7 +60,7 @@ def tables():
     layouts = b"".join(head + tail + shift.to_bytes(8, "little")
                        + ("\0" + text).encode().ljust(24, b"\0")
                        for head, tail, shift, text in rows)
-    return ((hi, hh, hi - hh, lo),
+    return (np.stack([hi, hh, hi - hh, lo]),
             groups.astype(np.uint8).view("<u4").ravel().astype(np.uint64), trailing,
             np.frombuffer(exps, "<u8"), np.array(key_of_e),
             np.frombuffer(layouts, "<u8").reshape(-1, 8).T.copy())
@@ -72,7 +72,7 @@ def _decimal(x, pow10):
     fast = (a >= 1e-280) & (a <= 1e280)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, hh, hl, lo = (t[14 - e - _KMIN] for t in pow10)
+    hi, hh, hl, lo = pow10.take(14 - e - _KMIN, axis=1)
     p = a * hi
     c = a * 134217729.0
     ah = c - (c - a)
@@ -92,21 +92,24 @@ def format_g15(x):
     m, e, fast = _decimal(x, pow10)
     zero = x == 0
     fast |= zero
-    m, g0 = np.divmod(m, 10000)
-    m, g1 = np.divmod(m, 10000)
-    g3, g2 = np.divmod(m, 10000)
+    q0 = m // 10000
+    q1 = q0 // 10000
+    g3 = q1 // 10000
+    g0, g1, g2 = m - q0 * 10000, q0 - q1 * 10000, q1 - g3 * 10000
     s0 = groups[g3] | groups[g2] << np.uint64(32)  # the digit string "0" d0..d14
     s1 = groups[g1] | groups[g0] << np.uint64(32)
     zeros = trailing[g0] + (g0 == 0) * (trailing[g1] + (g1 == 0) * (
         trailing[g2] + (g2 == 0) * trailing[g3]))
     k = np.where(zero, layouts.shape[1] - 1, key_of_e[e - _EMIN] - zeros)
-    head0, head1, tail0, tail1, b, const0, const1, const2 = (t[k] for t in layouts)
+    head0, head1, tail0, tail1, b, const0, const1, const2 = layouts.take(k, axis=1)
     t0, t1 = s0 & tail0, s1 & tail1
     cells = np.empty((len(x), 3), "<u8")
     cells[:, 0] = (s0 & head0) | (t0 << b) | const0 | np.signbit(x) * np.uint64(ord("-"))
     cells[:, 1] = (s1 & head1) | (t1 << b) | (t0 >> (64 - b)) | const1
     cells[:, 2] = (t1 >> (64 - b)) | const2 | exps[e - _EMIN]
     cells = cells.view(np.uint8)
+    if fast.all():
+        return cells
 
     slow = np.flatnonzero(~fast)
     text = b"".join((b"%.15g" % v).ljust(CELL, b"\0") for v in x[slow].tolist())

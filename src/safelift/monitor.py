@@ -41,11 +41,12 @@ def estimate_targets(plant, safe_set) -> tuple[float, float]:
 
 
 def lyapunov_fn(plant, safe_set, family, gains: ControllerGains):
-    """Compile V into v(x2, p2_hat, theta1_hat, e1).
+    """Compile V into v(x2, p2_hat, theta1_hat, e1) over float64 columns.
 
-    Both lyapunov and the simulator's logged V column evaluate this one
-    function. plant must be truth-backed (carry theta1/theta2). The
-    estimate terms are centred on estimate_targets; with that centring
+    lyapunov and the simulator's V column evaluate this one V. Its barrier
+    maps each x2 / x2_max through the family's scalar functions, not NumPy
+    ufuncs, so no bit differs from the scalar formula. plant must carry
+    theta1/theta2. The estimate terms are centred on estimate_targets, so
     the analytic decrease law holds for any box size.
     """
     try:
@@ -63,7 +64,8 @@ def lyapunov_fn(plant, safe_set, family, gains: ControllerGains):
     def v(x2, p2h, th1h, e1):
         dp = p2h - p2
         dth = th1e - th1h
-        return (0.5 * e1 * e1 + vcal2(un2(x2 / xb2))
+        barrier = np.fromiter(map(vcal2, map(un2, x2 / xb2)), float, len(x2))
+        return (0.5 * e1 * e1 + barrier
                 + 0.5 / gam * ath2 * dp * dp + 0.5 / alp * dth * dth)
 
     return v
@@ -77,8 +79,8 @@ def lyapunov(dyn, frame: CoordinateFrame, ref: Reference,
     theta1/theta2); nonnegative, and zero exactly at the equilibrium with
     exact estimates.
     """
-    return lyapunov_fn(dyn.plant, dyn.safe_set, dyn.family, gains)(
-        frame.x[1], est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)
+    return float(lyapunov_fn(dyn.plant, dyn.safe_set, dyn.family, gains)(
+        np.array([frame.x[1]]), est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)[0])
 
 
 def vdot_analytic(e1: float, e2: float, gains: ControllerGains) -> float:

@@ -19,8 +19,9 @@ clamped trajectory would fake the safety property the run is supposed to
 demonstrate). An aborted run keeps the partial trajectory, and its failure
 is the StepRejected that step raises.
 
-The logged Lyapunov value uses the true plant parameters. It is a
-diagnostic for the monitor only and is never fed back to the controller.
+The loop only steps and logs. z, V (monitor.lyapunov_fn, which uses the
+true parameters and is never fed back to the controller) and V's two
+rates are formed once from the log after the loop.
 
 write_csvs writes several CSV tables in one chunked pass: per chunk, one
 vectorised "%.15g" call (_g15) formats each distinct column array once,
@@ -31,6 +32,7 @@ one-table case.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -85,8 +87,13 @@ class SimConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ConfigError(f"t_final must be at least dt, got {self.t_final}")
-        if not (isinstance(self.log_stride, int) and self.log_stride >= 1):
+        try:  # any integer type, kept as an int; not a bool, as True would run as 1
+            stride = -1 if isinstance(self.log_stride, bool) else operator.index(self.log_stride)
+        except TypeError:
+            stride = -1
+        if stride < 1:
             raise ConfigError(f"log_stride must be a positive integer, got {self.log_stride}")
+        object.__setattr__(self, "log_stride", stride)
         if self.p2_law_sign not in (1.0, -1.0):
             raise ConfigError(f"p2_law_sign must be +1 or -1, got {self.p2_law_sign}")
         try:
@@ -200,17 +207,15 @@ def write_csvs(tables) -> None:
                 fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _rk4(stage, theta, state, dt, a=None):
+def _rk4(stage, theta, state, dt, a):
     """One classical RK4 step of a stage in regressor form.
 
     stage(s1, s2, p2h, th1h) returns (s1', phi, psi, p2h', th1h', ...), and
-    s2' = theta1 * phi + theta2 * psi is formed here. a, if given, is
-    stage(*state) already computed.
+    s2' = theta1 * phi + theta2 * psi is formed here. a is stage(*state),
+    the first stage, which the caller has evaluated.
     """
     th1, th2 = theta
     s1, s2, p2h, th1h = state
-    if a is None:
-        a = stage(s1, s2, p2h, th1h)
     h = 0.5 * dt
     a2 = th1 * a[1] + th2 * a[2]
     b = stage(s1 + h * a[0], s2 + h * a2, p2h + h * a[3], th1h + h * a[4])
@@ -235,9 +240,9 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     a non-finite value.
     """
     law, theta = cfg._law
+    s = (state[0], state[1], est.p2_hat, est.theta1_hat)
     try:
-        x1, x2, p2h, th1h = _rk4(law, theta, (state[0], state[1], est.p2_hat,
-                                              est.theta1_hat), cfg.dt)
+        x1, x2, p2h, th1h = _rk4(law, theta, s, cfg.dt, law(*s))
     except _STAGE_ERRORS as exc:
         raise StepRejected(t, exc) from exc
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
@@ -248,70 +253,53 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
 
     stage is an RK4 stage in regressor form whose output ends with the
     plant state it evaluated, (..., e1, e2, u, x1, x2); s0 is the initial
-    point in the stage's own coordinates. The trajectory includes the
-    analytic Lyapunov rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and a numeric rate
-    obtained by differentiating the logged V, so the monitor can compare
-    them.
+    point in the stage's own coordinates. A step's one stage call is
+    _rk4's first stage, and a logged step stores one (8,) column of it.
+    V's analytic rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and numeric rate are
+    formed from the log with z and V, so the monitor can compare them.
     """
     _, theta = cfg._law
-    vfun = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
     try:
-        cols = np.empty((9, n_log))
+        log = np.empty((8, n_log))
     except (MemoryError, ValueError):
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
-    ct, cx1, cx2, cp2h, cth1h, ce1, ce2, cu, cv = cols
     state = (s0[0], s0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
     failure = None
     j = 0
     for i in range(n + 1):
-        out = None  # a logged step's stage evaluation doubles as RK4's first stage
         try:
+            out = stage(*state)
             if i % stride == 0 or i == n:
-                s1, s2, p2h, th1h = state
-                out = stage(s1, s2, p2h, th1h)
-                x2 = out[9]
-                e1 = out[5]
-                ct[j] = i * dt
-                cx1[j] = out[8]
-                cx2[j] = x2
-                cp2h[j] = p2h
-                cth1h[j] = th1h
-                ce1[j] = e1
-                ce2[j] = out[6]
-                cu[j] = out[7]
-                cv[j] = vfun(x2, p2h, th1h, e1)
+                log[:, j] = (i * dt, *out[5:], state[2], state[3])
                 j += 1
-            if i == n:
-                break
-            state = _rk4(stage, theta, state, dt, a=out)
+            if i < n:
+                state = _rk4(stage, theta, state, dt, out)
         except _STAGE_ERRORS as exc:
             failure = StepRejected(i * dt, exc)
             break
 
-    cols = cols[:, :j]
-    t = cols[0]
+    t, e1, e2, u, x1, x2, p2h, th1h = log[:, :j]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
-    z1 = xb1 * np.array([fam1.unsquash(v) for v in cols[1] / xb1])
-    z2 = xb2 * np.array([fam2.unsquash(v) for v in cols[2] / xb2])
+    v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(x2, p2h, th1h, e1)
     if len(t) >= 2:
-        vdot_num = np.gradient(cols[8], t, edge_order=min(2, len(t) - 1))
+        vdot_num = np.gradient(v, t, edge_order=min(2, len(t) - 1))
     else:  # one sample has no rate
-        vdot_num = np.full_like(cols[8], np.nan)
+        vdot_num = np.full_like(v, np.nan)
     return Trajectory(
-        t=t, x1=cols[1], x2=cols[2], z1=z1, z2=z2,
-        e1=cols[5], e2=cols[6], u=cols[7],
-        p2_hat=cols[3], theta1_hat=cols[4],
-        v=cols[8], vdot_analytic=vdot_analytic(cols[5], cols[6], cfg.gains),
-        vdot_numeric=vdot_num,
-        in_safe_set=(np.abs(cols[1]) < xb1) & (np.abs(cols[2]) < xb2),
+        t=t, x1=x1, x2=x2,
+        z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
+        z2=xb2 * np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2)),
+        e1=e1, e2=e2, u=u, p2_hat=p2h, theta1_hat=th1h,
+        v=v, vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num,
+        in_safe_set=(np.abs(x1) < xb1) & (np.abs(x2) < xb2),
         failure=failure)
 
 

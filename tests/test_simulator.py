@@ -36,6 +36,9 @@ class TestSimConfigValidation:
         # The target is checked against the config's own box, also when only
         # the box changed.
         (dict(safe_set=sl.SafeSet(1.5, 1.0)), "strictly inside"),
+        # A bool is an int to isinstance, and True would run as stride 1.
+        (dict(log_stride=True), "log_stride must be a positive integer, got True"),
+        (dict(log_stride=2.0), "log_stride must be a positive integer, got 2.0"),
     ])
     def test_rejections(self, bench_cfg, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -52,10 +55,23 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError):
             bench_cfg(x0=(0.0, 1.0))
 
+    def test_numpy_integer_log_stride_is_accepted_as_int(self, bench_cfg):
+        cfg = bench_cfg(t_final=0.01, log_stride=np.int64(5))
+        assert cfg.log_stride == 5 and type(cfg.log_stride) is int
+        assert np.array_equal(sl.run(cfg).t, sl.run(bench_cfg(t_final=0.01,
+                                                               log_stride=5)).t)
+
     def test_controller_view_refused(self, bench_cfg, motor):
         # The simulator needs theta1/theta2, which the control view hides.
         with pytest.raises(ConfigError, match="PlantDef"):
             bench_cfg(plant=motor.control_view())
+
+
+# The DC-motor benchmark, and the certified scenario on a box twice as
+# tall with a logit first and a tanh second lifting.
+SCENARIOS = {"dc-motor": {},
+             "logit-tanh-x2max-2": dict(safe_set=sl.SafeSet(2.0, 2.0), x0=(0.0, 1.7),
+                                         family=(sl.logit_family(), sl.tanh_family()))}
 
 
 class TestStep:
@@ -75,12 +91,15 @@ class TestStep:
         assert err.value.time == 1.25
 
     def test_single_step_matches_run(self, bench_cfg):
-        cfg = bench_cfg()
-        state, est = sl.step(cfg, cfg.x0, cfg.est0)
-        traj = sl.run(cfg)
-        assert state[0] == traj.x1[1]
-        assert state[1] == traj.x2[1]
-        assert est.p2_hat == traj.p2_hat[1]
+        # step and run's loop hand _rk4 its first stage each; the results
+        # agree bit for bit.
+        for scenario in SCENARIOS.values():
+            cfg = bench_cfg(t_final=0.01, **scenario)
+            (x1, x2), est = sl.step(cfg, cfg.x0, cfg.est0)
+            traj = sl.run(cfg)
+            assert [v.hex() for v in (x1, x2, est.p2_hat, est.theta1_hat)] == [
+                float(c[1]).hex() for c in (traj.x1, traj.x2, traj.p2_hat,
+                                            traj.theta1_hat)]
 
     def test_law_compiled_once_per_config(self, bench_cfg, monkeypatch):
         calls = []
@@ -99,6 +118,33 @@ class TestStep:
         # replace() gives a new config, and the new config its own law.
         sl.step(dataclasses.replace(cfg, p2_law_sign=-1.0), cfg.x0, cfg.est0)
         assert len(calls) == 2 and calls[1][-1] == -1.0
+
+
+class TestLoggedColumns:
+    """Columns formed from the log after the loop, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("route", [sl.run, sl.run_lifted], ids=["x", "z"])
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_v_column_is_the_per_sample_formula(self, bench_cfg, scenario, route,
+                                                stride):
+        # V written out once more, one sample at a time in Python floats
+        # through the family's scalar maps: the column must match each
+        # value bit for bit, not merely to rounding.
+        cfg = bench_cfg(t_final=1.0, log_stride=stride, **SCENARIOS[scenario])
+        traj = route(cfg)
+        assert traj.completed
+        xb2 = cfg.safe_set.x2_max
+        fam2 = sl.family_pair(cfg.family)[1]
+        th1e, p2 = cfg.plant.theta1 / xb2, 1.0 / cfg.plant.theta2
+        ath2, gam, alp = abs(cfg.plant.theta2), cfg.gains.gamma, cfg.gains.alpha
+        want = []
+        for x2, p2h, th1h, e1 in zip(traj.x2.tolist(), traj.p2_hat.tolist(),
+                                     traj.theta1_hat.tolist(), traj.e1.tolist()):
+            want.append(0.5 * e1 * e1 + fam2.squash_integral(fam2.unsquash(x2 / xb2))
+                        + 0.5 / gam * ath2 * (p2h - p2) * (p2h - p2)
+                        + 0.5 / alp * (th1e - th1h) * (th1e - th1h))
+        assert [v.hex() for v in traj.v.tolist()] == [v.hex() for v in want]
 
 
 class TestStageFnMirrorsPublicApi:
