@@ -97,27 +97,23 @@ def _render_svg(path, title, t, series) -> None:
     Path(path).write_text("\n".join(parts))
 
 
-def _out_dir(args, ec) -> Path:
-    """--out, else the config's directory, made if missing; ConfigError if
-    it cannot be made (a file there, or no permission)."""
-    out_dir = Path(args.out or ec.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {out_dir}: "
-                          f"{exc.strerror or exc}") from None
-    return out_dir
-
-
 @contextmanager
 def _writing(out_dir):
-    """Turn an artifact that cannot be written (a directory in its place, no
+    """Turn an output that cannot be written (a directory in its place, no
     permission, a full disk) into a ConfigError naming it."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out_dir}: "
                           f"{exc.strerror or exc}") from None
+
+
+def _out_dir(args, ec) -> Path:
+    """--out, else the config's directory, made if missing."""
+    out_dir = Path(args.out or ec.out_dir)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _cmd_run(args) -> int:

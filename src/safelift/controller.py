@@ -86,7 +86,7 @@ class Reference:
     @classmethod
     def for_target(cls, x1d: float, safe_set: SafeSet, family: FamilySpec) -> "Reference":
         x1d = float(x1d)
-        if not abs(x1d) < safe_set.x1_max:  # also refuses nan and inf
+        if not safe_set.contains(x1d, 0.0):  # also refuses nan and inf
             raise ConfigError(
                 f"reference x1d={x1d} must lie strictly inside (-{safe_set.x1_max}, "
                 f"{safe_set.x1_max})")

@@ -47,8 +47,9 @@ class SafeSet:
     def __post_init__(self):
         require_positive(self, "safe-set bound ")
 
-    def contains(self, x1: float, x2: float) -> bool:
-        return abs(x1) < self.x1_max and abs(x2) < self.x2_max
+    def contains(self, x1, x2):
+        """The strict box rule, on floats or elementwise on equal-length columns."""
+        return (abs(x1) < self.x1_max) & (abs(x2) < self.x2_max)
 
     @property
     def bounds(self) -> tuple[float, float]:

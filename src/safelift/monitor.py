@@ -29,7 +29,8 @@ import numpy as np
 
 from .controller import EstimatorState, Reference, ControllerGains, lifted_stage
 from .lifting import CoordinateFrame, family_pair
-from .errors import ConfigError, require_positive
+from .errors import require_positive
+from .plant import require_truth
 
 
 def estimate_targets(plant, safe_set) -> tuple[float, float]:
@@ -45,16 +46,11 @@ def lyapunov_fn(plant, safe_set, family, gains: ControllerGains):
 
     lyapunov and the simulator's V column evaluate this one V. Its barrier
     maps each x2 / x2_max through the family's scalar functions, not NumPy
-    ufuncs, so no bit differs from the scalar formula. plant must carry
-    theta1/theta2. The estimate terms are centred on estimate_targets, so
-    the analytic decrease law holds for any box size.
+    ufuncs, so no bit differs from the scalar formula. plant must be a
+    PlantDef (plant.require_truth). The estimate terms are centred on
+    estimate_targets, so the analytic decrease law holds for any box size.
     """
-    try:
-        th1e, p2 = estimate_targets(plant, safe_set)
-    except AttributeError:
-        raise ConfigError(
-            "lyapunov needs truth-backed dynamics (a plant with theta1/theta2); "
-            "got the controller-facing view") from None
+    th1e, p2 = estimate_targets(require_truth(plant, "lyapunov"), safe_set)
     xb2 = safe_set.x2_max
     _, fam2 = family_pair(family)
     un2, vcal2 = fam2.unsquash, fam2.squash_integral
@@ -196,7 +192,8 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     cert.lyap_increment_allowance = th.lyap_increment_rel * max(1.0, cert.v0)
     if len(traj) >= 2:
         # One sample has no increment of V and no numeric rate to compare.
-        cert.worst_v_increment = float(np.diff(traj.v).max())
+        with np.errstate(invalid="ignore"):  # inf - inf of an overflowed V reads nan
+            cert.worst_v_increment = float(np.diff(traj.v).max())
         cert.lyapunov_monotone = cert.worst_v_increment < cert.lyap_increment_allowance
         vdot_error = np.abs(traj.vdot_numeric - traj.vdot_analytic)
         cert.vdot_identity_error = float(vdot_error.max())

@@ -8,7 +8,7 @@ The plant class handled here is
 with scalar states, known shape functions g1, f2, g2, and unknown true
 parameters theta1, theta2. The controller is only ever given the shape
 functions plus sign(theta2); the parameter values stay behind the
-simulation-only interface.
+simulation-only interface, and require_truth is the one gate in front of it.
 
 Structural assumptions, checkable by grid sampling:
   1. f2(x1, x2) = 0 exactly when x2 = 0 (keeps the drift uncertainty
@@ -92,6 +92,14 @@ class PlantDef:
                           theta2_sign=self.theta2_sign)
 
 
+def require_truth(plant, what: str) -> PlantDef:
+    """The one truth refusal: plant if it is a PlantDef, else a ConfigError."""
+    if not isinstance(plant, PlantDef):
+        raise ConfigError(f"{what} needs a truth-backed PlantDef, with theta1/theta2, "
+                          f"got {type(plant).__name__}")
+    return plant
+
+
 @dataclass(frozen=True)
 class DcMotorParams:
     """Physical constants of a voltage-driven DC motor with inertial load.
@@ -154,6 +162,7 @@ def double_integrator(theta: float = 1.0) -> PlantDef:
 
 def plant_rhs(plant: PlantDef, x: Sequence[float], u: float) -> tuple[float, float]:
     """State derivative of the true plant (simulation oracle only)."""
+    require_truth(plant, "plant_rhs")
     x1, x2 = float(x[0]), float(x[1])
     u = float(u)
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(u)):
@@ -211,16 +220,11 @@ class LiftedDynamics:
         Only valid over a truth-backed plant; the controller-facing view
         deliberately cannot drive this.
         """
-        try:
-            th1, th2 = self.plant.theta1, self.plant.theta2
-        except AttributeError:
-            raise ConfigError(
-                "rhs needs a truth-backed plant with theta1/theta2; got the "
-                "controller-facing view") from None
+        truth = require_truth(self.plant, "rhs")
         frame = unlift(z, self.safe_set, self.family)
         vgain, regressor, igain = self._fields_at(frame)
         return (vgain * frame.xn[1],
-                regressor * th1 + igain * u * th2)
+                regressor * truth.theta1 + igain * u * truth.theta2)
 
 
 @dataclass(frozen=True)
@@ -253,10 +257,11 @@ class AssumptionReport:
 def check_assumptions(plant, safe_set: SafeSet, grid_n: int = 21) -> AssumptionReport:
     """Sample the structural assumptions on an interior grid of the safe set.
 
-    Checks f2(x1, 0) = 0, f2(x1, x2) != 0 off the x2 = 0 line, and
-    g1 != 0, g2 != 0 at every sample. Accepts a PlantDef or a PlantShape
-    (the check uses no parameter values). Violations are reported with the
-    offending sample point; a sign-definite f2 off the axis is flagged as an
+    Checks f2(x1, 0) = 0, f2(x1, x2) nonzero and finite off the x2 = 0
+    line, and g1, g2 nonzero and finite at every sample. Accepts a PlantDef
+    or a PlantShape (the check uses no parameter values). Violations are
+    reported with the offending sample point and value (a non-finite sample
+    under <shape>_finite); a sign-definite f2 off the axis is flagged as an
     informational note since it cannot push x2 both ways.
     """
     if grid_n < 2:
@@ -266,22 +271,25 @@ def check_assumptions(plant, safe_set: SafeSet, grid_n: int = 21) -> AssumptionR
     xs2 = [-xb2 + 2.0 * xb2 * (j + 1) / (grid_n + 1) for j in range(grid_n)]
     report = AssumptionReport(grid_n=grid_n)
 
+    def nonzero(check, point, v):
+        # A zero sample fails check; a non-finite one fails <shape>_finite.
+        if v == 0.0:
+            report.violations.append(AssumptionViolation(check, point, 0.0))
+        elif not math.isfinite(v):
+            report.violations.append(AssumptionViolation(f"{check[:2]}_finite", point, v))
+
     f2_min, f2_max = math.inf, -math.inf
     for x1 in xs1:
         v = plant.f2(x1, 0.0)
         if v != 0.0:
             report.violations.append(AssumptionViolation("f2_zero_at_x2_zero", (x1, 0.0), v))
-        if plant.g1(x1) == 0.0:
-            report.violations.append(AssumptionViolation("g1_nonzero", (x1, 0.0), 0.0))
+        nonzero("g1_nonzero", (x1, 0.0), plant.g1(x1))
         for x2 in xs2:
             if x2 != 0.0:
                 v = plant.f2(x1, x2)
-                if v == 0.0:
-                    report.violations.append(
-                        AssumptionViolation("f2_nonzero_off_axis", (x1, x2), 0.0))
+                nonzero("f2_nonzero_off_axis", (x1, x2), v)
                 f2_min, f2_max = min(f2_min, v), max(f2_max, v)
-            if plant.g2(x1, x2) == 0.0:
-                report.violations.append(AssumptionViolation("g2_nonzero", (x1, x2), 0.0))
+            nonzero("g2_nonzero", (x1, x2), plant.g2(x1, x2))
 
     if f2_min >= 0.0 or f2_max <= 0.0:
         report.notes.append(

@@ -47,7 +47,7 @@ from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SingularityDetected, StepRejected)
 from .lifting import SafeSet, FamilySpec, family_pair, lift, tanh_family
 from .monitor import lyapunov_fn, vdot_analytic
-from .plant import LiftedDynamics, PlantDef
+from .plant import LiftedDynamics, PlantDef, require_truth
 
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 
@@ -79,9 +79,7 @@ class SimConfig:
     p2_law_sign: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.plant, PlantDef):
-            raise ConfigError("a simulation needs a PlantDef, with the true "
-                              f"parameters, got {type(self.plant).__name__}")
+        require_truth(self.plant, "a simulation")
         self.reference  # refuses a target outside the box
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
@@ -288,18 +286,19 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     t, e1, e2, u, x1, x2, p2h, th1h = log[:, :j]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
-    v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(x2, p2h, th1h, e1)
-    if len(t) >= 2:
-        vdot_num = np.gradient(v, t, edge_order=min(2, len(t) - 1))
-    else:  # one sample has no rate
-        vdot_num = np.full_like(v, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(x2, p2h, th1h, e1)
+        if len(t) >= 2:
+            vdot_num = np.gradient(v, t, edge_order=min(2, len(t) - 1))
+        else:  # one sample has no rate
+            vdot_num = np.full_like(v, np.nan)
     return Trajectory(
         t=t, x1=x1, x2=x2,
         z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
         z2=xb2 * np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2)),
         e1=e1, e2=e2, u=u, p2_hat=p2h, theta1_hat=th1h,
         v=v, vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num,
-        in_safe_set=(np.abs(x1) < xb1) & (np.abs(x2) < xb2),
+        in_safe_set=cfg.safe_set.contains(x1, x2),
         failure=failure)
 
 

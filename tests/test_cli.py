@@ -64,6 +64,17 @@ def test_unusable_out_dir_is_config_error(tmp_path, capsys, command, out):
     assert err[0].startswith("configuration error: ") and str(out) in err[0]
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+def test_unusable_out_dir_reads_cannot_write(tmp_path, capsys, out):
+    # The same one line as an artifact that cannot be written.
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / out
+    assert main(["run", FIG2, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize("command, artifact", [("run", "trace.csv"), ("sweep", "sweep.csv")])
 def test_unwritable_artifact_is_config_error(tmp_path, capsys, command, artifact):
     body = BASE + ("\n[sweep]\nk1 = 1.0\n" if command == "sweep" else "")
@@ -73,6 +84,23 @@ def test_unwritable_artifact_is_config_error(tmp_path, capsys, command, artifact
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"configuration error: cannot write {out / artifact}: ")
+
+
+def test_overflowed_v_prints_only_the_abort_lines(tmp_path):
+    # V overflows at p2_hat = 1e200; no NumPy warning may reach stderr.
+    text = (REPO / FIG2).read_text()
+    assert "\np2_hat = 1.0\n" in text
+    cfg = write_cfg(tmp_path, text.replace("\np2_hat = 1.0\n", "\np2_hat = 1e200\n"))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "safelift.cli", "run", cfg, "--out", str(out)],
+                          env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 3
+    err = done.stderr.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("simulation aborted at t=0: DomainViolation: ")
+    assert err[1] == f"partial artifacts written to {out}"
 
 
 def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -247,3 +247,31 @@ class TestRoundTrip:
             back = sl.unlift(sl.lift(x, box, pair).z, box, pair).x
             assert back[0] == pytest.approx(x[0], abs=1e-11)
             assert back[1] == pytest.approx(x[1], abs=1e-11)
+
+
+class TestSafeSetColumns:
+    """contains is the one strict-box rule, on floats and on columns."""
+
+    @staticmethod
+    def inline_mask(box, x1, x2):
+        return (np.abs(x1) < box.x1_max) & (np.abs(x2) < box.x2_max)
+
+    def test_columns_match_the_inline_mask_on_a_run(self, run_plus, box):
+        got = box.contains(run_plus.x1, run_plus.x2)
+        assert got.dtype == bool and len(got) == len(run_plus)
+        assert np.array_equal(got, self.inline_mask(box, run_plus.x1, run_plus.x2))
+        assert np.array_equal(got, run_plus.in_safe_set)
+
+    def test_columns_at_and_beyond_each_bound(self):
+        box = sl.SafeSet(2.0, 1.0)
+        below1, below2 = math.nextafter(2.0, 0.0), math.nextafter(1.0, 0.0)
+        x1 = np.array([0.0, 2.0, -2.0, 2.5, -7.0, below1, -below1, 0.0, 0.0,
+                       0.0, 0.0, 0.0, math.nan, 0.0, math.inf])
+        x2 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.5,
+                       below2, -below2, 0.0, math.nan, 0.0])
+        got = box.contains(x1, x2)
+        assert np.array_equal(got, self.inline_mask(box, x1, x2))
+        assert got.tolist() == [True, False, False, False, False, True, True,
+                                False, False, False, True, True, False, False, False]
+        # The scalar rule agrees with the column rule point by point.
+        assert [box.contains(a, b) for a, b in zip(x1.tolist(), x2.tolist())] == got.tolist()

@@ -7,6 +7,7 @@ import pytest
 
 import safelift as sl
 from safelift.errors import ConfigError, NonFiniteInput
+from safelift.plant import require_truth
 
 
 class TestDcMotor:
@@ -181,3 +182,68 @@ class TestCheckAssumptions:
             "assumption check on a 21 x 21 interior grid: pass",
             "  note: f2 is sign-definite on the sampled grid (never changes sign "
             "off the x2 = 0 line); the drift can only push x2 one way"]
+
+
+class TestRequireTruth:
+    """The one truth refusal, shared by every caller that needs theta."""
+
+    def test_plant_rhs_refuses_the_control_view(self, motor):
+        with pytest.raises(ConfigError, match="truth-backed PlantDef"):
+            sl.plant_rhs(motor.control_view(), (0.0, 0.5), 0.0)
+
+    def test_returns_the_plant_itself(self, motor):
+        assert require_truth(motor, "x") is motor
+
+    def test_four_refusals_give_one_message(self, motor, box, tanh_fam, gains, bench_cfg):
+        shape = motor.control_view()
+        refusals = {
+            "a simulation": lambda: bench_cfg(plant=shape),
+            "lyapunov": lambda: sl.lyapunov(sl.LiftedDynamics(shape, box, tanh_fam),
+                                            sl.lift((0.0, 0.0), box, tanh_fam),
+                                            sl.Reference.for_target(0.0, box, tanh_fam),
+                                            gains, sl.EstimatorState(1.0, 0.0)),
+            "rhs": lambda: sl.LiftedDynamics(shape, box, tanh_fam).rhs((0.0, 0.0), 0.0),
+            "plant_rhs": lambda: sl.plant_rhs(shape, (0.0, 0.0), 0.0),
+        }
+        for what, refuse in refusals.items():
+            with pytest.raises(ConfigError) as got:
+                refuse()
+            assert str(got.value) == (f"{what} needs a truth-backed PlantDef, "
+                                      "with theta1/theta2, got PlantShape")
+
+
+class TestNonFiniteShapes:
+    """A non-finite shape sample is a violation, reported with its value."""
+
+    def test_infinite_g1_caught(self, box):
+        plant = sl.PlantDef(g1=lambda x1: math.inf if abs(x1) > 1.2 else 1.0,
+                            f2=lambda x1, x2: x2, g2=lambda x1, x2: 1.0,
+                            theta1=1.0, theta2=1.0)
+        report = sl.check_assumptions(plant, box, grid_n=7)
+        assert not report.passed
+        assert [(v.check, v.point, v.value) for v in report.violations] == [
+            ("g1_finite", (-1.5, 0.0), math.inf), ("g1_finite", (1.5, 0.0), math.inf)]
+        assert "  violation: g1_finite at (1.5, 0.0), value inf" in report.summary()
+
+    def test_nan_g2_caught(self, box):
+        plant = sl.PlantDef(g1=lambda x1: 1.0, f2=lambda x1, x2: x2,
+                            g2=lambda x1, x2: math.nan if x2 > 0.5 else 1.0,
+                            theta1=1.0, theta2=1.0)
+        report = sl.check_assumptions(plant, box, grid_n=7)
+        assert not report.passed
+        assert {v.check for v in report.violations} == {"g2_finite"}
+        assert sorted(v.point for v in report.violations) == [
+            (x1, 0.75) for x1 in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
+        assert all(math.isnan(v.value) for v in report.violations)
+        assert "  violation: g2_finite at (0.0, 0.75), value nan" in report.summary()
+
+    def test_infinite_f2_off_axis_caught(self, box):
+        plant = sl.PlantDef(g1=lambda x1: 1.0,
+                            f2=lambda x1, x2: x2 if abs(x2) < 0.6 else x2 * math.inf,
+                            g2=lambda x1, x2: 1.0, theta1=1.0, theta2=1.0)
+        report = sl.check_assumptions(plant, box, grid_n=7)
+        assert not report.passed
+        assert {v.check for v in report.violations} == {"f2_finite"}
+        assert len(report.violations) == 14
+        assert {v.value for v in report.violations} == {math.inf, -math.inf}
+        assert "  violation: f2_finite at (0.0, -0.75), value -inf" in report.summary()

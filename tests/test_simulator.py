@@ -481,3 +481,41 @@ class TestWriteCsvColumnTypes:
         write_csvs([table])
         per_cell_csv(tmp_path / "want.csv", *table[1:])
         assert table[0].read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestOverflowedV:
+    """A V too large for a double reads inf or nan in the trace and in the
+    certificate, and raises no NumPy warning (the suite runs with -W error)."""
+
+    @staticmethod
+    def scenario(name, **overrides):
+        return dataclasses.replace(sl.load_config(REPO / "configs" / name).sim, **overrides)
+
+    def test_huge_p2_hat_reads_inf(self):
+        # 0.5 |theta2| (p2_hat - p2)^2 / gamma overflows above about 1e154.
+        cfg = self.scenario("dc_motor_fig2.cfg", est0=sl.EstimatorState(1e200, 0.0))
+        traj = sl.run(cfg)
+        assert len(traj) == 1 and traj.failure is not None
+        assert math.isinf(traj.v[0]) and math.isnan(traj.vdot_numeric[0])
+        assert "\nv0 = inf\n" in sl.certify(traj, cfg).to_report()
+
+    def test_tiny_gamma_numeric_rate_reads_nan(self):
+        # V is finite, near 5e305, but np.gradient's weighted sum overflows.
+        cfg = self.scenario("dc_motor_certified.cfg", t_final=1.0,
+                            gains=sl.ControllerGains(1.0, 1e-306, 1.0),
+                            est0=sl.EstimatorState(2.0, 0.0))
+        traj = sl.run(cfg)
+        assert traj.completed and np.all(np.isfinite(traj.v))
+        assert np.isnan(traj.vdot_numeric).any()
+        report = sl.certify(traj, cfg).to_report()
+        assert "\nvdot_identity_error = nan\n" in report
+
+    def test_infinite_v_increment_reads_nan(self):
+        # 0.5 / gamma is inf, so every V is inf and each increment inf - inf.
+        cfg = self.scenario("dc_motor_certified.cfg", t_final=0.01,
+                            gains=sl.ControllerGains(1.0, 1e-310, 1.0),
+                            est0=sl.EstimatorState(2.0, 0.0))
+        traj = sl.run(cfg)
+        assert traj.completed and np.all(np.isinf(traj.v))
+        cert = sl.certify(traj, cfg)
+        assert math.isnan(cert.worst_v_increment) and not cert.lyapunov_monotone
