@@ -29,11 +29,12 @@ sign adjudication helper.
 compile_law writes this law once, as the closed-loop rates in regressor
 form. The unknown parameters enter the plant linearly, x2' = theta1 phi +
 theta2 psi, so the law returns phi and psi and leaves the sum to the
-integrator. It takes a PlantShape (the shape functions g1, f2, g2 and
-sign(theta2)) and refuses anything else, so the controller cannot read the
-true parameter values: the firewall is the argument type. lifted_stage
-carries that law into z by the chain rule; run_lifted integrates it and
-certify's equilibrium residual evaluates it.
+integrator. Per stage it tests only what can fail, and its refuse helper
+names the first failure in the order of the checks. It takes a PlantShape
+(g1, f2, g2 and sign(theta2)) and refuses anything else, so the controller
+cannot read the true parameter values: the firewall is the argument type.
+lifted_stage carries that law into z by the chain rule; run_lifted
+integrates it and certify's equilibrium residual evaluates it.
 """
 
 from __future__ import annotations
@@ -115,9 +116,11 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     psi = g2(x1, x2) * u, then the signals and the state it evaluated. As
     the RK4 stage of the simulator's hot path, it builds no frame objects.
 
-    A non-finite stage state or an overflowed u raises NonFiniteInput, a
-    state inside the guard band raises DomainViolation, and a zero or
-    non-finite lifted gain raises SingularityDetected.
+    The law tests the band (which refuses a non-finite x), the two gains and
+    u (which a non-finite estimate or virtual gain reaches); refuse then runs
+    the checks in order and raises the first failure: NonFiniteInput for a
+    non-finite stage state or u, DomainViolation inside the guard band, and
+    SingularityDetected for a zero or non-finite gain.
     """
     if not isinstance(shape, PlantShape):
         raise ConfigError(
@@ -130,41 +133,50 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     xb1, xb2 = safe_set.bounds
     lim1 = xb1 * (1.0 - EPS_DOMAIN)
     lim2 = xb2 * (1.0 - EPS_DOMAIN)
-    k1 = gains.k1
-    k2 = gains.k2
-    gam, alp = gains.gamma, gains.alpha
-    sgn = shape.theta2_sign
+    k1, k2, alp = gains.k1, gains.k2, gains.alpha
+    dp2_gain = p2_law_sign * gains.gamma * shape.theta2_sign
+    nxb2 = -xb2
     z1d = ref.z1d
     isfinite = math.isfinite
 
-    def law(x1, x2, p2h, th1h):
+    def refuse(x1, x2, p2h, th1h, u=None):
         if not (isfinite(x1) and isfinite(x2) and isfinite(p2h) and isfinite(th1h)):
             raise NonFiniteInput(
                 f"non-finite stage state ({x1}, {x2}, p2_hat={p2h}, theta1_hat={th1h})")
         if not (-lim1 < x1 < lim1 and -lim2 < x2 < lim2):
             raise DomainViolation(
                 f"stage state ({x1}, {x2}) at or beyond the constraint guard band")
+        vgain = dun1(x1 / xb1) * g1(x1) * xb2
+        if vgain == 0.0 or not isfinite(vgain):
+            raise SingularityDetected(f"virtual gain {vgain!r} at x1={x1}")
+        igain = dun2(x2 / xb2) * g2(x1, x2)
+        if igain == 0.0 or not isfinite(igain):
+            raise SingularityDetected(f"lifted input gain {igain!r} at ({x1}, {x2})")
+        raise NonFiniteInput(f"control input overflowed to {u!r}")
+
+    def law(x1, x2, p2h, th1h):
+        if not (-lim1 < x1 < lim1 and -lim2 < x2 < lim2):
+            refuse(x1, x2, p2h, th1h)
         c1 = x1 / xb1
         c2 = x2 / xb2
         e1 = xb1 * un1(c1) - z1d
         g1v = g1(x1)
         vgain = dun1(c1) * g1v * xb2
-        if vgain == 0.0 or not isfinite(vgain):
-            raise SingularityDetected(f"virtual gain {vgain!r} at x1={x1}")
+        if vgain == 0.0:
+            refuse(x1, x2, p2h, th1h)
         e2 = vgain * c2 + k1 * e1
         d2 = dun2(c2)
         f2v = f2(x1, x2)
         g2v = g2(x1, x2)
         igain = d2 * g2v
-        if igain == 0.0 or not isfinite(igain):
-            raise SingularityDetected(f"lifted input gain {igain!r} at ({x1}, {x2})")
-        inner = (d2 * f2v) * th1h + vgain * k2 * e2
-        u = -xb2 * p2h * inner / igain
+        if igain == 0.0 or not isfinite(igain):  # before the division
+            refuse(x1, x2, p2h, th1h)
+        d2f2 = d2 * f2v
+        inner = d2f2 * th1h + vgain * k2 * e2
+        u = nxb2 * p2h * inner / igain
         if not isfinite(u):
-            raise NonFiniteInput(f"control input overflowed to {u!r}")
-        return (g1v * x2, f2v, g2v * u,
-                p2_law_sign * gam * sgn * c2 * inner,
-                alp * c2 * (d2 * f2v),
+            refuse(x1, x2, p2h, th1h, u)
+        return (g1v * x2, f2v, g2v * u, dp2_gain * c2 * inner, alp * c2 * d2f2,
                 e1, e2, u, x1, x2)
 
     return law

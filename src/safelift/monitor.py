@@ -6,14 +6,14 @@ The monitor evaluates the composite Lyapunov function
         + |theta2| (p2_hat - p2)^2 / (2 gamma)
         + (theta1_target - theta1_hat)^2 / (2 alpha)
 
-with p2 = 1 / theta2 and theta1_target = theta1 / x2_max, and checks the
-trajectory-level facts the design promises: the state never leaves the
-safe box, logged V never increases beyond integrator noise, the numeric
-derivative of V matches -(sqrt(k1) e1 - sqrt(k2) e2)^2, the estimates stay
-inside a ball fixed by V(0), and the run ends near the closed-loop
-equilibrium (z1_ref, 0) with u near 0. These are finite-horizon numerical
-certificates over a sampled trajectory, not proofs; thresholds are
-explicit and configurable.
+with p2 = 1 / theta2, theta1_target = theta1 / x2_max and zn2 =
+unsquash(x2 / x2_max), lyapunov_fn's first column. It checks what the
+design promises: the state never leaves the safe box, logged V never
+increases beyond integrator noise, the numeric rate of V matches
+-(sqrt(k1) e1 - sqrt(k2) e2)^2, the estimates stay in a ball fixed by a
+finite V(0), and the run ends near the equilibrium (z1_ref, 0) with u near
+0. These are finite-horizon numerical certificates over a sampled
+trajectory, not proofs; thresholds are explicit and configurable.
 
 Because V needs the true parameters, the monitor is a diagnostic layer on
 top of a simulation; nothing here flows back into the control law.
@@ -42,25 +42,24 @@ def estimate_targets(plant, safe_set) -> tuple[float, float]:
 
 
 def lyapunov_fn(plant, safe_set, family, gains: ControllerGains):
-    """Compile V into v(x2, p2_hat, theta1_hat, e1) over float64 columns.
+    """Compile V into v(zn2, p2_hat, theta1_hat, e1) over float64 columns.
 
-    lyapunov and the simulator's V column evaluate this one V. Its barrier
-    maps each x2 / x2_max through the family's scalar functions, not NumPy
-    ufuncs, so no bit differs from the scalar formula. plant must be a
+    lyapunov and the simulator's V column evaluate this one V. zn2 is
+    unsquash(x2 / x2_max), which the simulator also scales into z2; the
+    barrier maps it through the family's scalar squash_integral, not a NumPy
+    ufunc, so no bit differs from the scalar formula. plant must be a
     PlantDef (plant.require_truth). The estimate terms are centred on
     estimate_targets, so the analytic decrease law holds for any box size.
     """
     th1e, p2 = estimate_targets(require_truth(plant, "lyapunov"), safe_set)
-    xb2 = safe_set.x2_max
-    _, fam2 = family_pair(family)
-    un2, vcal2 = fam2.unsquash, fam2.squash_integral
+    vcal2 = family_pair(family)[1].squash_integral
     ath2 = abs(plant.theta2)
     gam, alp = gains.gamma, gains.alpha
 
-    def v(x2, p2h, th1h, e1):
+    def v(zn2, p2h, th1h, e1):
         dp = p2h - p2
         dth = th1e - th1h
-        barrier = np.fromiter(map(vcal2, map(un2, x2 / xb2)), float, len(x2))
+        barrier = np.fromiter(map(vcal2, zn2), float, len(zn2))
         return (0.5 * e1 * e1 + barrier
                 + 0.5 / gam * ath2 * dp * dp + 0.5 / alp * dth * dth)
 
@@ -75,8 +74,9 @@ def lyapunov(dyn, frame: CoordinateFrame, ref: Reference,
     theta1/theta2); nonnegative, and zero exactly at the equilibrium with
     exact estimates.
     """
+    zn2 = family_pair(dyn.family)[1].unsquash(frame.x[1] / dyn.safe_set.x2_max)
     return float(lyapunov_fn(dyn.plant, dyn.safe_set, dyn.family, gains)(
-        np.array([frame.x[1]]), est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)[0])
+        np.array([zn2]), est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)[0])
 
 
 def vdot_analytic(e1: float, e2: float, gains: ControllerGains) -> float:
@@ -194,7 +194,8 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
         # One sample has no increment of V and no numeric rate to compare.
         with np.errstate(invalid="ignore"):  # inf - inf of an overflowed V reads nan
             cert.worst_v_increment = float(np.diff(traj.v).max())
-        cert.lyapunov_monotone = cert.worst_v_increment < cert.lyap_increment_allowance
+        cert.lyapunov_monotone = (cert.worst_v_increment
+                                  < cert.lyap_increment_allowance < math.inf)
         vdot_error = np.abs(traj.vdot_numeric - traj.vdot_analytic)
         cert.vdot_identity_error = float(vdot_error.max())
 
@@ -202,7 +203,8 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     cert.sup_theta1_hat = float(np.max(np.abs(traj.theta1_hat)))
     cert.estimate_allowance = th.estimate_bound_factor * (1.0 + cert.v0)
     # Two comparisons, not max(...) < allowance: a NaN must fail the check.
-    cert.estimates_bounded = (cert.sup_p2_hat < cert.estimate_allowance
+    # An allowance of inf (V(0) overflowed) bounds nothing, here or above.
+    cert.estimates_bounded = (cert.sup_p2_hat < cert.estimate_allowance < math.inf
                               and cert.sup_theta1_hat < cert.estimate_allowance)
 
     cert.tracking_error_final = float(abs(traj.x1[-1] - cfg.x1d))

@@ -2,9 +2,9 @@
 
 The integrated state is the plant state plus the two parameter estimates
 (p2_hat, theta1_hat), advanced together as one ODE. Every RK4 stage
-evaluates the controller's compiled law, which is built from the plant's
-control view and returns the rates in regressor form; _rk4 alone combines
-them with the true parameters, x2' = theta1 * phi + theta2 * psi.
+evaluates the controller's compiled law (built from the plant's control
+view; rates in regressor form), and only the step closure of _rk4, made
+once per run, combines them with theta: x2' = theta1 * phi + theta2 * psi.
 
 _integrate is the one closed-loop integrator. run passes it the compiled
 law and x0; run_lifted passes the same law carried into z by
@@ -19,9 +19,9 @@ clamped trajectory would fake the safety property the run is supposed to
 demonstrate). An aborted run keeps the partial trajectory, and its failure
 is the StepRejected that step raises.
 
-The loop only steps and logs. z, V (monitor.lyapunov_fn, which uses the
-true parameters and is never fed back to the controller) and V's two
-rates are formed once from the log after the loop.
+The loop only steps and logs; z, V (monitor.lyapunov_fn, from the true
+parameters, never fed back) and V's two rates come from the log after it,
+with unsquash(x2 / x2_max) formed once per sample for z2 and for V.
 
 write_csvs writes several CSV tables in one chunked pass: per chunk, one
 vectorised "%.15g" call (_g15) formats each distinct column array once,
@@ -205,28 +205,32 @@ def write_csvs(tables) -> None:
                 fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _rk4(stage, theta, state, dt, a):
-    """One classical RK4 step of a stage in regressor form.
+def _rk4(stage, theta, dt):
+    """The classical RK4 step of a stage in regressor form, as a closure.
 
     stage(s1, s2, p2h, th1h) returns (s1', phi, psi, p2h', th1h', ...), and
-    s2' = theta1 * phi + theta2 * psi is formed here. a is stage(*state),
-    the first stage, which the caller has evaluated.
+    s2' = theta1 * phi + theta2 * psi is formed here. theta, h and dt / 6 are
+    bound once; rk4(s1, s2, p2h, th1h, a) takes the first stage, a = stage(s1,
+    s2, p2h, th1h), which the caller has evaluated, and returns the next state.
     """
     th1, th2 = theta
-    s1, s2, p2h, th1h = state
     h = 0.5 * dt
-    a2 = th1 * a[1] + th2 * a[2]
-    b = stage(s1 + h * a[0], s2 + h * a2, p2h + h * a[3], th1h + h * a[4])
-    b2 = th1 * b[1] + th2 * b[2]
-    c = stage(s1 + h * b[0], s2 + h * b2, p2h + h * b[3], th1h + h * b[4])
-    c2 = th1 * c[1] + th2 * c[2]
-    d = stage(s1 + dt * c[0], s2 + dt * c2, p2h + dt * c[3], th1h + dt * c[4])
-    d2 = th1 * d[1] + th2 * d[2]
     w = dt / 6.0
-    return (s1 + w * (a[0] + 2.0 * (b[0] + c[0]) + d[0]),
-            s2 + w * (a2 + 2.0 * (b2 + c2) + d2),
-            p2h + w * (a[3] + 2.0 * (b[3] + c[3]) + d[3]),
-            th1h + w * (a[4] + 2.0 * (b[4] + c[4]) + d[4]))
+
+    def rk4(s1, s2, p2h, th1h, a):
+        a2 = th1 * a[1] + th2 * a[2]
+        b = stage(s1 + h * a[0], s2 + h * a2, p2h + h * a[3], th1h + h * a[4])
+        b2 = th1 * b[1] + th2 * b[2]
+        c = stage(s1 + h * b[0], s2 + h * b2, p2h + h * b[3], th1h + h * b[4])
+        c2 = th1 * c[1] + th2 * c[2]
+        d = stage(s1 + dt * c[0], s2 + dt * c2, p2h + dt * c[3], th1h + dt * c[4])
+        d2 = th1 * d[1] + th2 * d[2]
+        return (s1 + w * (a[0] + 2.0 * (b[0] + c[0]) + d[0]),
+                s2 + w * (a2 + 2.0 * (b2 + c2) + d2),
+                p2h + w * (a[3] + 2.0 * (b[3] + c[3]) + d[3]),
+                th1h + w * (a[4] + 2.0 * (b[4] + c[4]) + d[4]))
+
+    return rk4
 
 
 def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
@@ -240,7 +244,7 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     law, theta = cfg._law
     s = (state[0], state[1], est.p2_hat, est.theta1_hat)
     try:
-        x1, x2, p2h, th1h = _rk4(law, theta, s, cfg.dt, law(*s))
+        x1, x2, p2h, th1h = _rk4(law, theta, cfg.dt)(*s, law(*s))
     except _STAGE_ERRORS as exc:
         raise StepRejected(t, exc) from exc
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
@@ -268,17 +272,18 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
-    state = (s0[0], s0[1], cfg.est0.p2_hat, cfg.est0.theta1_hat)
+    rk4 = _rk4(stage, theta, dt)
+    (s1, s2), p2h, th1h = s0, cfg.est0.p2_hat, cfg.est0.theta1_hat
     failure = None
     j = 0
     for i in range(n + 1):
         try:
-            out = stage(*state)
+            out = stage(s1, s2, p2h, th1h)
             if i % stride == 0 or i == n:
-                log[:, j] = (i * dt, *out[5:], state[2], state[3])
+                log[:, j] = (i * dt, *out[5:], p2h, th1h)
                 j += 1
             if i < n:
-                state = _rk4(stage, theta, state, dt, out)
+                s1, s2, p2h, th1h = rk4(s1, s2, p2h, th1h, out)
         except _STAGE_ERRORS as exc:
             failure = StepRejected(i * dt, exc)
             break
@@ -286,8 +291,9 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     t, e1, e2, u, x1, x2, p2h, th1h = log[:, :j]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
+    zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
-        v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(x2, p2h, th1h, e1)
+        v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(zn2, p2h, th1h, e1)
         if len(t) >= 2:
             vdot_num = np.gradient(v, t, edge_order=min(2, len(t) - 1))
         else:  # one sample has no rate
@@ -295,7 +301,7 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     return Trajectory(
         t=t, x1=x1, x2=x2,
         z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
-        z2=xb2 * np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2)),
+        z2=xb2 * zn2,
         e1=e1, e2=e2, u=u, p2_hat=p2h, theta1_hat=th1h,
         v=v, vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num,
         in_safe_set=cfg.safe_set.contains(x1, x2),

@@ -152,6 +152,26 @@ class TestCertify:
         assert math.isnan(cert.worst_v_increment)
         assert math.isnan(cert.vdot_identity_error)
 
+    def test_infinite_estimate_allowance_bounds_nothing(self):
+        # p2_hat = 1e200 overflows V(0), and with it the allowance.
+        cfg = dataclasses.replace(sl.load_config("configs/dc_motor_fig2.cfg").sim,
+                                  est0=sl.EstimatorState(1e200, 0.0))
+        cert = sl.certify(sl.run(cfg), cfg)
+        assert math.isinf(cert.v0) and math.isinf(cert.estimate_allowance)
+        assert cert.sup_p2_hat == 1e200
+        assert not cert.estimates_bounded
+        assert "\nestimates_bounded = FAIL\n" in cert.to_report()
+
+    def test_infinite_increment_allowance_bounds_nothing(self, run_plus, bench_cfg):
+        # An infinite V(0) followed by finite values: every increment is
+        # finite or -inf, yet the allowance they are held to is inf.
+        v = run_plus.v.copy()
+        v[0] = math.inf
+        cert = sl.certify(dataclasses.replace(run_plus, v=v), bench_cfg())
+        assert math.isinf(cert.lyap_increment_allowance)
+        assert cert.worst_v_increment < 1e-6
+        assert not cert.lyapunov_monotone and not cert.all_pass
+
     def test_first_sample_outside_the_box_is_timestamped(self, run_plus, bench_cfg):
         mask = np.ones(len(run_plus), dtype=bool)
         mask[1234] = False
