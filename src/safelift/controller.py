@@ -111,10 +111,10 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
     """Compile the control and adaptation law into one flat closure.
 
     Returns law(x1, x2, p2_hat, theta1_hat) ->
-    (x1', phi, psi, p2_hat', theta1_hat', e1, e2, u, x1, x2): the rates,
-    with x2' = theta1 * phi + theta2 * psi, phi = f2(x1, x2) and
-    psi = g2(x1, x2) * u, then the signals and the state it evaluated. As
-    the RK4 stage of the simulator's hot path, it builds no frame objects.
+    (x1', phi, psi, p2_hat', theta1_hat', e1, e2, u, x1, x2, p2_hat,
+    theta1_hat): the rates, with x2' = theta1 * phi + theta2 * psi, phi =
+    f2(x1, x2) and psi = g2(x1, x2) * u, then the signals and the whole state
+    it evaluated. As the simulator's RK4 stage, it builds no frame objects.
 
     The law tests the band (which refuses a non-finite x), the two gains and
     u (which a non-finite estimate or virtual gain reaches); refuse then runs
@@ -177,7 +177,7 @@ def compile_law(shape: PlantShape, safe_set: SafeSet, family: FamilySpec,
         if not isfinite(u):
             refuse(x1, x2, p2h, th1h, u)
         return (g1v * x2, f2v, g2v * u, dp2_gain * c2 * inner, alp * c2 * d2f2,
-                e1, e2, u, x1, x2)
+                e1, e2, u, x1, x2, p2h, th1h)
 
     return law
 
@@ -213,6 +213,6 @@ def evaluate(dyn: LiftedDynamics, frame: CoordinateFrame, ref: Reference,
     """
     law = compile_law(dyn.plant.control_view(), dyn.safe_set, dyn.family,
                       gains, ref, p2_law_sign)
-    _, _, _, dp2, dth1, e1, e2, u, _, _ = law(frame.x[0], frame.x[1], est.p2_hat,
-                                              est.theta1_hat)
+    _, _, _, dp2, dth1, e1, e2, u, *_ = law(frame.x[0], frame.x[1], est.p2_hat,
+                                            est.theta1_hat)
     return ControllerSignals(e1=e1, e2=e2, u=u, dp2_hat=dp2, dtheta1_hat=dth1)

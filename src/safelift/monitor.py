@@ -130,6 +130,10 @@ class Certificate:
     once; a value the run did not get to measure keeps its default: nan, a
     failed check, or no violation time. The fields, in order, are the
     cert.txt keys between completed and all_pass.
+    lyapunov_monotone uses lyap_increment_rel * max(1, V0), so it cannot
+    resolve a term whose change is below the ulp of V (the certified config
+    at gamma = 1e-306, p2_hat = 2: V0 = 5e305, every increment 0, a pass 1.54
+    from the target); ROADMAP item 2's per-sample identity check would.
     """
 
     failure: Optional[str]

@@ -36,6 +36,7 @@ import operator
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,9 @@ from .monitor import lyapunov_fn, vdot_analytic
 from .plant import LiftedDynamics, PlantDef, require_truth
 
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
+# Stage tuples _integrate holds (0.4 kB each) before one np.fromiter logs them:
+# 0.56 µs a row, not 1.4-1.7 µs a column store (fig2, 2-CPU shared host).
+LOG_FLUSH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -254,9 +258,10 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     """The closed loop from (s0, est0) to t_final, or to the first failure.
 
     stage is an RK4 stage in regressor form whose output ends with the
-    plant state it evaluated, (..., e1, e2, u, x1, x2); s0 is the initial
-    point in the stage's own coordinates. A step's one stage call is
-    _rk4's first stage, and a logged step stores one (8,) column of it.
+    signals and the state it evaluated, (..., e1, e2, u, x1, x2, p2_hat,
+    theta1_hat); s0 is the initial point in the stage's own coordinates. A
+    step's one stage call is _rk4's first stage; a logged step keeps its
+    tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
     V's analytic rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and numeric rate are
     formed from the log with z and V, so the monitor can compare them.
     """
@@ -273,21 +278,32 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
     rk4 = _rk4(stage, theta, dt)
+    rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
+
+    def flush():
+        k = len(rows)
+        block = np.fromiter(chain.from_iterable(rows), float, 12 * k).reshape(k, 12)
+        log[1:, j:j + k] = block[:, 5:].T
+        rows.clear()
+        return j + k
+
     (s1, s2), p2h, th1h = s0, cfg.est0.p2_hat, cfg.est0.theta1_hat
     failure = None
-    j = 0
     for i in range(n + 1):
         try:
             out = stage(s1, s2, p2h, th1h)
             if i % stride == 0 or i == n:
-                log[:, j] = (i * dt, *out[5:], p2h, th1h)
-                j += 1
+                rows.append(out)
+                if len(rows) == LOG_FLUSH_ROWS:
+                    j = flush()
             if i < n:
                 s1, s2, p2h, th1h = rk4(s1, s2, p2h, th1h, out)
         except _STAGE_ERRORS as exc:
             failure = StepRejected(i * dt, exc)
             break
-
+    j = flush()
+    # t is each logged step index i (the last one n) times dt, as i * dt.
+    np.multiply(np.minimum(np.arange(0, j * stride, stride), n), dt, out=log[0, :j])
     t, e1, e2, u, x1, x2, p2h, th1h = log[:, :j]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)

@@ -66,7 +66,7 @@ def reference_law(shape, safe_set, family, gains, ref, p2_law_sign=1.0):
         return (g1v * x2, f2v, g2v * u,
                 p2_law_sign * gam * sgn * c2 * inner,
                 alp * c2 * (d2 * f2v),
-                e1, e2, u, x1, x2)
+                e1, e2, u, x1, x2, p2h, th1h)
 
     return law
 
