@@ -11,8 +11,8 @@ boundedness of the estimates.
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
                      SafeliftError, SingularityDetected, StepRejected)
 from .lifting import (EPS_DOMAIN, CoordinateFrame, LiftingFamily, SafeSet,
-                      family_names, family_pair, get_family, lift,
-                      logit_family, tanh_family, unlift)
+                      family_pair, get_family, lift, logit_family,
+                      tanh_family, unlift)
 from .plant import (AssumptionReport, DcMotorParams, LiftedDynamics, PlantDef,
                     PlantShape, check_assumptions, dc_motor, double_integrator,
                     plant_rhs)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoordinateFrame", "LiftingFamily", "SafeSet", "EPS_DOMAIN",
-    "tanh_family", "logit_family", "get_family", "family_names", "family_pair",
+    "tanh_family", "logit_family", "get_family", "family_pair",
     "lift", "unlift",
     "PlantDef", "PlantShape", "DcMotorParams", "dc_motor", "double_integrator",
     "plant_rhs", "check_assumptions", "AssumptionReport",

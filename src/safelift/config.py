@@ -2,37 +2,38 @@
 
 Flat INI-style text with sections; every run is fully determined by the
 file (no environment lookups), so experiments are reproducible from the
-config alone. A key left out keeps its default; a section or key not in
-this schema, or a non-empty [DEFAULT] section, is a ConfigError:
+config alone. A key marked required must be set; any other key left out
+takes the value shown. A section or key not in this schema, or a
+non-empty [DEFAULT] section, is a ConfigError:
 
     [plant]
     type = dc_motor            ; or double_integrator, below
-    J = 0.01                   ; dc_motor constants (all optional,
-    b = 0.1                    ;  these defaults shown)
+    J = 0.01                   ; dc_motor constants
+    b = 0.1
     R = 1.0
     Kt = 0.01
     Kb = 0.01
 
     [safe_set]
-    x1_max = 2.0
-    x2_max = 1.0
+    x1_max = 2.0               ; required
+    x2_max = 1.0               ; required
 
     [lifting]
     family = tanh              ; tanh or logit
-    family2 = tanh             ; optional distinct family for state 2
+    family2 = tanh             ; state 2's family; left out, family's
 
     [controller]
     k1 = 1.0
     gamma = 1.0
     alpha = 1.0
-    p2_law_sign = 1            ; +1 certified law (default), -1 variant
+    p2_law_sign = 1            ; +1 certified law, -1 variant
 
     [reference]
-    x1d = -1.9
+    x1d = -1.9                 ; required
 
     [initial]
     x1 = 0.0
-    x2 = 0.9
+    x2 = 0.0
     p2_hat = 1.0
     theta1_hat = 0.0
 
@@ -44,22 +45,22 @@ this schema, or a non-empty [DEFAULT] section, is a ConfigError:
     [output]
     directory = out            ; resolved against the working directory
 
-    [certificate]              ; optional threshold overrides, each
-    lyap_increment_rel = 1e-6  ;  finite and positive
+    [certificate]              ; thresholds, each finite and positive
+    lyap_increment_rel = 1e-6
     vdot_tol = 0.001
     estimate_bound_factor = 10.0
     tracking_tol = 0.02
     final_residual_tol = 0.01
 
-    [sweep]                    ; optional; comma-separated value lists,
-    k1 = 0.5, 1.0, 2.0         ;  rows are the cartesian product in
-    x1d = -1.9, 1.0            ;  declaration order
+    [sweep]                    ; left out, no sweep; comma-separated
+    k1 = 0.5, 1.0, 2.0         ;  value lists, rows are the cartesian
+    x1d = -1.9, 1.0            ;  product in declaration order
 
 A double_integrator plant takes its input gain and no dc_motor constant:
 
     [plant]
     type = double_integrator
-    theta = 1.0                ; optional, this default shown
+    theta = 1.0
 """
 
 from __future__ import annotations
@@ -76,13 +77,17 @@ from .monitor import CertThresholds
 from .plant import DcMotorParams, dc_motor, double_integrator
 from .simulator import SimConfig
 
-# The [plant] constants each plant type takes.
-_PLANT_KEYS = {"dc_motor": tuple(f.name for f in fields(DcMotorParams)),
-               "double_integrator": ("theta",)}
+# Plant type -> ([plant] constants it takes, builder). A builder looks its
+# plant function up when it runs, so patching this module's name reaches it.
+_PLANTS = {
+    "dc_motor": (tuple(f.name for f in fields(DcMotorParams)),
+                 lambda **c: dc_motor(DcMotorParams(**c))),
+    "double_integrator": (("theta",), lambda **c: double_integrator(**c)),
+}
 
 # The one statement of what an experiment file may hold: section -> keys.
 _KEYS = {
-    "plant": ("type", *itertools.chain(*_PLANT_KEYS.values())),
+    "plant": ("type", *itertools.chain(*(keys for keys, _ in _PLANTS.values()))),
     "safe_set": ("x1_max", "x2_max"),
     "lifting": ("family", "family2"),
     "controller": ("k1", "gamma", "alpha", "p2_law_sign"),
@@ -125,17 +130,14 @@ def _build_sim(parser) -> SimConfig:
     psec, lsec, csec, isec, ssec = (parser[name] for name in (
         "plant", "lifting", "controller", "initial", "simulation"))
     ptype = psec.get("type", "dc_motor")
-    if ptype not in _PLANT_KEYS:
+    if ptype not in _PLANTS:
         raise ConfigError(f"unknown plant type {ptype!r}; expected "
-                          f"{' or '.join(_PLANT_KEYS)}")
+                          f"{' or '.join(_PLANTS)}")
+    keys, build = _PLANTS[ptype]
     for key in _KEYS["plant"][1:]:
-        if key in psec and key not in _PLANT_KEYS[ptype]:
+        if key in psec and key not in keys:
             raise ConfigError(f"[plant] key {key!r} does not apply to type {ptype}")
-    constants = _numbers(psec, *_PLANT_KEYS[ptype])
-    if ptype == "dc_motor":
-        plant = dc_motor(DcMotorParams(**constants))
-    else:
-        plant = double_integrator(**constants)
+    plant = build(**_numbers(psec, *keys))
     safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
                        x2_max=_number(parser["safe_set"], "x2_max"))
     fam1 = get_family(lsec.get("family", "tanh"))

@@ -79,51 +79,37 @@ class LiftingFamily:
     squash_integral: Callable[[float], float]
 
 
-def tanh_family() -> LiftingFamily:
-    """Reference family: unsquash = atanh, squash = tanh.
-
-    unsquash_deriv(c) = 1 / (1 - c^2), which equals cosh^2 of the lifted
-    coordinate; squash_integral(z) = log(cosh(z)).
-    """
-    return LiftingFamily(
-        name="tanh",
-        unsquash=math.atanh,
-        squash=math.tanh,
-        unsquash_deriv=lambda c: 1.0 / (1.0 - c * c),
-        squash_integral=_log_cosh,
-    )
-
-
-def logit_family() -> LiftingFamily:
-    """Alternate family built on the scaled logit.
-
-    unsquash(c) = log((1 + c) / (1 - c)), squash(z) = tanh(z / 2),
-    unsquash_deriv(c) = 2 / (1 - c^2),
-    squash_integral(z) = 2 log(cosh(z / 2)).
-    """
-    return LiftingFamily(
-        name="logit",
-        unsquash=lambda c: math.log((1.0 + c) / (1.0 - c)),
-        squash=lambda z: math.tanh(0.5 * z),
-        unsquash_deriv=lambda c: 2.0 / (1.0 - c * c),
-        squash_integral=lambda z: 2.0 * _log_cosh(0.5 * z),
-    )
-
-
-_FAMILY_FACTORIES = {"tanh": tanh_family, "logit": logit_family}
+# One value per family name, built at import, so equal configs compare equal.
+_FAMILIES = {fam.name: fam for fam in (
+    # Reference family: unsquash = atanh, squash = tanh; unsquash_deriv(c) =
+    # 1 / (1 - c^2), which equals cosh^2 of the lifted coordinate;
+    # squash_integral(z) = log(cosh(z)).
+    LiftingFamily("tanh", math.atanh, math.tanh,
+                  lambda c: 1.0 / (1.0 - c * c), _log_cosh),
+    # Alternate family built on the scaled logit: unsquash(c) =
+    # log((1 + c) / (1 - c)), squash(z) = tanh(z / 2), unsquash_deriv(c) =
+    # 2 / (1 - c^2), squash_integral(z) = 2 log(cosh(z / 2)).
+    LiftingFamily("logit", lambda c: math.log((1.0 + c) / (1.0 - c)),
+                  lambda z: math.tanh(0.5 * z), lambda c: 2.0 / (1.0 - c * c),
+                  lambda z: 2.0 * _log_cosh(0.5 * z)),
+)}
 
 
 def get_family(name: str) -> LiftingFamily:
     try:
-        return _FAMILY_FACTORIES[name]()
+        return _FAMILIES[name]
     except KeyError:
         raise ConfigError(
             f"unknown lifting family {name!r}; available: "
-            f"{sorted(_FAMILY_FACTORIES)}") from None
+            f"{sorted(_FAMILIES)}") from None
 
 
-def family_names() -> list[str]:
-    return sorted(_FAMILY_FACTORIES)
+def tanh_family() -> LiftingFamily:
+    return _FAMILIES["tanh"]
+
+
+def logit_family() -> LiftingFamily:
+    return _FAMILIES["logit"]
 
 
 FamilySpec = Union[LiftingFamily, Sequence[LiftingFamily]]

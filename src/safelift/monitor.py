@@ -71,12 +71,11 @@ def lyapunov(dyn, frame: CoordinateFrame, ref: Reference,
     """Composite Lyapunov value at one state.
 
     dyn is a plant.LiftedDynamics whose plant is truth-backed (carries
-    theta1/theta2); nonnegative, and zero exactly at the equilibrium with
-    exact estimates.
+    theta1/theta2), frame a lift with dyn's box and family; nonnegative,
+    and zero exactly at the equilibrium with exact estimates.
     """
-    zn2 = family_pair(dyn.family)[1].unsquash(frame.x[1] / dyn.safe_set.x2_max)
     return float(lyapunov_fn(dyn.plant, dyn.safe_set, dyn.family, gains)(
-        np.array([zn2]), est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)[0])
+        np.array([frame.zn[1]]), est.p2_hat, est.theta1_hat, frame.z[0] - ref.z1d)[0])
 
 
 def vdot_analytic(e1: float, e2: float, gains: ControllerGains) -> float:

@@ -3,6 +3,7 @@
 import configparser
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,15 @@ x1d = -1.9
 [initial]
 x1 = 0.0
 x2 = 0.9
+"""
+
+REQUIRED_ONLY = """
+[safe_set]
+x1_max = 2.0
+x2_max = 1.0
+
+[reference]
+x1d = -1.9
 """
 
 
@@ -45,6 +55,31 @@ class TestLoadConfig:
         assert sim.t_final == 30.0
         assert sim.p2_law_sign == 1.0
         assert ec.sweep == {}
+        # Only the three required keys: every other value is the default the
+        # module docstring shows.
+        ec = sl.load_config(write_cfg(tmp_path, REQUIRED_ONLY))
+        sim = ec.sim
+        assert sim.plant == sl.dc_motor(sl.DcMotorParams(J=0.01, b=0.1, R=1.0,
+                                                         Kt=0.01, Kb=0.01))
+        assert sim.safe_set == sl.SafeSet(2.0, 1.0)
+        assert sim.family == sl.tanh_family()
+        assert sim.gains == sl.ControllerGains(k1=1.0, gamma=1.0, alpha=1.0)
+        assert sim.p2_law_sign == 1.0
+        assert sim.x1d == -1.9
+        assert sim.x0 == (0.0, 0.0)
+        assert sim.est0 == sl.EstimatorState(p2_hat=1.0, theta1_hat=0.0)
+        assert (sim.dt, sim.t_final, sim.log_stride) == (0.001, 30.0, 1)
+        assert ec.out_dir == Path("out")
+        assert ec.thresholds == sl.CertThresholds(
+            lyap_increment_rel=1e-6, vdot_tol=0.001, estimate_bound_factor=10.0,
+            tracking_tol=0.02, final_residual_tol=0.01)
+        assert ec.sweep == {}
+
+    @pytest.mark.parametrize("path", ["configs/dc_motor_fig2.cfg",
+                                      "configs/dc_motor_certified.cfg"])
+    def test_equal_files_give_equal_configs(self, path):
+        assert sl.load_config(path) == sl.load_config(path)
+        assert sl.load_config(path).sim == sl.load_config(path).sim
 
     def test_full_file(self, tmp_path):
         body = MINIMAL + textwrap.dedent("""

@@ -139,10 +139,18 @@ class TestFamilyRegistry:
     def test_lookup(self):
         assert sl.get_family("tanh").name == "tanh"
         assert sl.get_family("logit").name == "logit"
-        assert sl.family_names() == ["logit", "tanh"]
+
+    def test_one_value_per_name(self):
+        # A family is a value built once: every lookup returns it, so two
+        # configs naming the same family compare equal.
+        for name in ("tanh", "logit"):
+            assert sl.get_family(name) is sl.get_family(name)
+        assert sl.tanh_family() == sl.get_family("tanh")
+        assert sl.logit_family() == sl.get_family("logit")
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigError, match="unknown lifting family"):
+        with pytest.raises(ConfigError, match=r"unknown lifting family .*"
+                                              r"available: \['logit', 'tanh'\]"):
             sl.get_family("sine")
 
     def test_family_pair_forms(self, tanh_fam, logit_fam):
