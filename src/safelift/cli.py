@@ -18,12 +18,15 @@ into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
-past per-row failures.
+past per-row failures. Its rows run across min(rows, usable CPUs)
+processes, forked children and this one, and sweep.csv is byte-identical
+to a one-process sweep.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -156,31 +159,130 @@ _SWEEP_HEADER = ("index,overrides,status,tracking_error_final,worst_v_increment,
                  "safe,sup_p2_hat,sup_theta1_hat,detail")
 
 
+def _sweep_row(ec, i, label, sim) -> str:
+    """One valid sweep row: the run, its certificate, the row text."""
+    traj = run_sim(sim)
+    cert = certify(traj, sim, ec.thresholds)
+    status = "ok" if traj.completed else "runtime-violation"
+    fail = traj.failure
+    detail = "" if fail is None else f"{fail.kind} at t={fail.time:.6g}".replace(",", ";")
+    return (f"{i},{label},{status},{cert.tracking_error_final:.15g},"
+            f"{cert.worst_v_increment:.15g},"
+            f"{'yes' if cert.safe_invariance else 'no'},"
+            f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
+
+
+def _run_share(ec, share):
+    """Row texts of share, a list of (index, label, sim), in order, up to
+    its first error: (rows, None) or (rows, (index, exception))."""
+    rows = []
+    for i, label, sim in share:
+        try:
+            rows.append(_sweep_row(ec, i, label, sim))
+        except Exception as exc:
+            return rows, (i, exc)
+    return rows, None
+
+
+# The errors a child sends back by kind, to be raised again in the parent as
+# the serial sweep raises them; any other error comes back as its traceback.
+_CHILD_ERRORS = (ConfigError, SafeliftError)
+
+
+def _send_share(ec, share, conn) -> None:
+    """A forked child's work: its share's row texts, and its error as text."""
+    rows, error = _run_share(ec, share)
+    if error is not None:
+        import traceback
+
+        i, exc = error
+        kind = next((k for k, cls in enumerate(_CHILD_ERRORS) if isinstance(exc, cls)), None)
+        error = (i, kind, str(exc) if kind is not None
+                 else "".join(traceback.format_exception(exc)))
+    conn.send((rows, error))
+    conn.close()
+
+
+def _receive_share(proc, conn, share):
+    """What _send_share sent: (rows, None) or (rows, (index, exception))."""
+    try:
+        rows, error = conn.recv()
+    except EOFError:
+        proc.join()
+        return [], (share[0][0], SafeliftError(
+            f"a sweep process exited with code {proc.exitcode} before its rows"))
+    if error is not None:
+        i, kind, text = error
+        error = (i, RuntimeError(f"sweep row {i} failed:\n{text}") if kind is None
+                 else _CHILD_ERRORS[kind](text))
+    return rows, error
+
+
+def _sweep_workers(n_rows: int) -> int:
+    """Processes for n_rows sweep rows: one per usable CPU, at most one per
+    row. One where there is no CPU mask to read (macOS, Windows), which also
+    keeps platforms without fork on the one-process path."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(n_rows, len(os.sched_getaffinity(0))))
+
+
+def _run_rows(ec, jobs) -> dict:
+    """{index: row text} of jobs, a list of (index, label, sim), or the first
+    error in row order.
+
+    The jobs are dealt into interleaved shares, one per process. The parent
+    runs share 0 itself; each forked child inherits the configs (which hold
+    closures, so they cannot be pickled), runs its share and sends back only
+    strings. Every child is joined before this returns or raises.
+    """
+    n = _sweep_workers(len(jobs))
+    shares = [jobs[w::n] for w in range(n)]
+    children, results = [], []
+    if n > 1:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        sys.stdout.flush()  # else a child flushes the parent's buffered text again
+        sys.stderr.flush()
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, args=(ec, share, send))
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        results.append(_run_share(ec, shares[0]))
+        for (proc, recv), share in zip(children, shares[1:]):
+            results.append(_receive_share(proc, recv, share))
+    finally:
+        for proc, recv in children:
+            if len(results) < n:  # interrupted: no share is still wanted
+                proc.terminate()
+            proc.join()
+            recv.close()
+    errors = [error for _, error in results if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return {i: row for (rows, _), share in zip(results, shares)
+            for (i, _, _), row in zip(share, rows)}
+
+
 def _cmd_sweep(args) -> int:
     ec = load_config(args.config)
     out_dir = _out_dir(args, ec)
-    rows = []
+    rows, jobs = {}, []
     for i, overrides in sweep_rows(ec):
         label = " ".join(f"{k}={v:.15g}" for k, v in overrides.items())
         try:
-            sim = apply_overrides(ec.sim, overrides)
+            jobs.append((i, label, apply_overrides(ec.sim, overrides)))
         except SafeliftError as exc:
-            rows.append(f"{i},{label},invalid-config,,,,,,"
-                        f"{str(exc).replace(',', ';')}")
-            continue
-        traj = run_sim(sim)
-        cert = certify(traj, sim, ec.thresholds)
-        status = "ok" if traj.completed else "runtime-violation"
-        fail = traj.failure
-        detail = "" if fail is None else f"{fail.kind} at t={fail.time:.6g}".replace(",", ";")
-        rows.append(f"{i},{label},{status},{cert.tracking_error_final:.15g},"
-                    f"{cert.worst_v_increment:.15g},"
-                    f"{'yes' if cert.safe_invariance else 'no'},"
-                    f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
+            rows[i] = f"{i},{label},invalid-config,,,,,,{str(exc).replace(',', ';')}"
+    rows.update(_run_rows(ec, jobs))
     with _writing(out_dir), open(out_dir / "sweep.csv", "w", newline="") as fh:
         fh.write(_SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        for i in sorted(rows):
+            fh.write(rows[i] + "\n")
     print(f"sweep complete: {len(rows)} rows in {out_dir / 'sweep.csv'}")
     return _EXIT_OK
 

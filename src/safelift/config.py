@@ -141,7 +141,8 @@ def _build_sim(parser) -> SimConfig:
     safe_set = SafeSet(x1_max=_number(parser["safe_set"], "x1_max"),
                        x2_max=_number(parser["safe_set"], "x2_max"))
     fam1 = get_family(lsec.get("family", "tanh"))
-    family = (fam1, get_family(lsec["family2"])) if "family2" in lsec else fam1
+    fam2 = get_family(lsec["family2"]) if "family2" in lsec else fam1
+    family = fam1 if fam2 == fam1 else (fam1, fam2)  # an equal pair is one family
     gains = ControllerGains(*(_number(csec, k, 1.0) for k in ("k1", "gamma", "alpha")))
     x0 = (_number(isec, "x1", 0.0), _number(isec, "x2", 0.0))
     est0 = EstimatorState(_number(isec, "p2_hat", 1.0), _number(isec, "theta1_hat", 0.0))

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -127,6 +128,28 @@ def test_unloggable_horizon_is_config_error(tmp_path, capsys, command, t_final):
     assert err[0].startswith("configuration error: ")
     for fragment in (f"t_final={float(t_final)}", "dt=0.001", "log_stride=1", "samples"):
         assert fragment in err[0]
+
+
+def use_cpus(monkeypatch, n):
+    """Make the sweep see n usable CPUs, so it runs min(n, rows) processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("t_final", ["1e12", "1e300"])
+def test_unloggable_horizon_in_every_share_is_one_config_error(
+        tmp_path, capsys, monkeypatch, t_final):
+    # Rows 0 and 2 fail in this process, row 1 in the forked one.
+    use_cpus(monkeypatch, 2)
+    body = BASE.replace("t_final = 2.0", f"t_final = {t_final}")
+    cfg = write_cfg(tmp_path, body + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+    assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: ")
+    for fragment in (f"t_final={float(t_final)}", "dt=0.001", "log_stride=1", "samples"):
+        assert fragment in err[0]
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 class TestRunCommand:
@@ -438,6 +461,96 @@ class TestSweepCommand:
         assert main(["sweep", write_cfg(tmp_path, body), "--out", str(out)]) == 0
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["k1=1.0000001", "k1=1.0000002"]
+
+
+    # Eight rows: five valid in the box, three that abort at t = 0 (V
+    # overflows from p2_hat = 1e200), and x2 = 1.5 refused in both blocks.
+    MIXED = BASE.replace("t_final = 2.0", "t_final = 0.5") + textwrap.dedent("""
+    [sweep]
+    p2_hat = 1.0, 1e200
+    x2 = 0.5, 1.5, -0.5, 0.9
+    """)
+    MIXED_STATUS = ["ok", "invalid-config", "ok", "ok", "runtime-violation",
+                    "invalid-config", "runtime-violation", "runtime-violation"]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_forked_rows_equal_serial_rows(self, tmp_path, monkeypatch, cpus):
+        cfg = write_cfg(tmp_path, self.MIXED)
+        run_here = []
+        row = cli._sweep_row
+        monkeypatch.setattr(cli, "_sweep_row",
+                            lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
+        csv_bytes = {}
+        for n in (1, cpus):
+            use_cpus(monkeypatch, n)
+            run_here.clear()
+            assert main(["sweep", cfg, "--out", str(tmp_path / str(n))]) == 0
+            csv_bytes[n] = (tmp_path / str(n) / "sweep.csv").read_bytes()
+            # This process runs share 0 of the six valid rows; children the rest.
+            assert run_here == [0, 2, 3, 4, 6, 7][::min(n, 6)]
+        assert csv_bytes[cpus] == csv_bytes[1]
+        rows = [r.split(",") for r in csv_bytes[1].decode().splitlines()[1:]]
+        assert [r[0] for r in rows] == [str(i) for i in range(8)]
+        assert [r[2] for r in rows] == self.MIXED_STATUS
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_error_in_row_order_wins(self, tmp_path, capsys, monkeypatch, cpus):
+        # Row 1 (a child's share) and row 2 (this process's) both fail; the
+        # sweep reports row 1's error, as the serial sweep does.
+        def failing(sim):
+            if sim.gains.k1 == 2.0:
+                raise sl.ConfigError("row 1 refused")
+            raise SingularityDetected("row 2 singular")
+
+        real = cli.run_sim
+        monkeypatch.setattr(cli, "run_sim",
+                            lambda sim: real(sim) if sim.gains.k1 == 1.0 else failing(sim))
+        use_cpus(monkeypatch, cpus)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "configuration error: row 1 refused\n"
+        assert multiprocessing.active_children() == []
+
+    def test_runtime_error_in_a_child_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_sim
+
+        def singular(sim):
+            if sim.gains.k1 == 2.0:
+                raise SingularityDetected("virtual gain 0.0 at x1=0.0")
+            return real(sim)
+
+        monkeypatch.setattr(cli, "run_sim", singular)
+        use_cpus(monkeypatch, 2)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: virtual gain 0.0 at x1=0.0\n"
+        assert multiprocessing.active_children() == []
+
+    def test_other_error_in_a_child_carries_its_traceback(self, tmp_path, monkeypatch):
+        real = cli.run_sim
+
+        def broken(sim):
+            if sim.gains.k1 == 2.0:
+                raise ZeroDivisionError("a defect")
+            return real(sim)
+
+        monkeypatch.setattr(cli, "run_sim", broken)
+        use_cpus(monkeypatch, 2)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
+        with pytest.raises(RuntimeError, match=r"(?s)^sweep row 1 failed:\n.*"
+                                               r"ZeroDivisionError: a defect"):
+            main(["sweep", cfg, "--out", str(tmp_path / "o")])
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_silently_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_send_share", lambda ec, share, conn: os._exit(5))
+        use_cpus(monkeypatch, 2)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: a sweep process exited with code 5 before its rows\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckAssumptionsCommand:

@@ -130,6 +130,16 @@ class TestLoadConfig:
         fams = sl.family_pair(ec.sim.family)
         assert (fams[0].name, fams[1].name) == ("tanh", "logit")
 
+    @pytest.mark.parametrize("name", ["tanh", "logit"])
+    def test_family2_equal_to_family_is_one_family(self, tmp_path, name):
+        # Runs are bit-identical with or without the repeat, so the configs
+        # compare equal too.
+        alone = MINIMAL + f"[lifting]\nfamily = {name}\n"
+        repeated = alone + f"family2 = {name}\n"
+        sim = sl.load_config(write_cfg(tmp_path, alone, "alone.cfg")).sim
+        assert sl.load_config(write_cfg(tmp_path, repeated, "repeated.cfg")).sim == sim
+        assert sim.family == sl.get_family(name)
+
     def test_inline_comments_allowed(self, tmp_path):
         body = MINIMAL.replace("x1d = -1.9", "x1d = -1.9  ; near the boundary")
         ec = sl.load_config(write_cfg(tmp_path, body))
