@@ -20,7 +20,9 @@ per chunk, in one vectorised call; --svg adds simple vector plots of both.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
 past per-row failures. Its rows run across min(rows, usable CPUs)
 processes, forked children and this one, and sweep.csv is byte-identical
-to a one-process sweep.
+to a one-process sweep. A child returns its rows up to its first error and
+this process runs the missing rows in row order, so errors, exit codes and
+stderr are the one-process sweep's; a child that dies costs time, not rows.
 """
 
 from __future__ import annotations
@@ -172,50 +174,22 @@ def _sweep_row(ec, i, label, sim) -> str:
             f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
 
 
-def _run_share(ec, share):
-    """Row texts of share, a list of (index, label, sim), in order, up to
-    its first error: (rows, None) or (rows, (index, exception))."""
-    rows = []
+def _run_share(ec, share) -> dict:
+    """{index: row text} of share, a list of (index, label, sim), run in
+    order up to its first row that raises."""
+    rows = {}
     for i, label, sim in share:
         try:
-            rows.append(_sweep_row(ec, i, label, sim))
-        except Exception as exc:
-            return rows, (i, exc)
-    return rows, None
-
-
-# The errors a child sends back by kind, to be raised again in the parent as
-# the serial sweep raises them; any other error comes back as its traceback.
-_CHILD_ERRORS = (ConfigError, SafeliftError)
+            rows[i] = _sweep_row(ec, i, label, sim)
+        except Exception:
+            break
+    return rows
 
 
 def _send_share(ec, share, conn) -> None:
-    """A forked child's work: its share's row texts, and its error as text."""
-    rows, error = _run_share(ec, share)
-    if error is not None:
-        import traceback
-
-        i, exc = error
-        kind = next((k for k, cls in enumerate(_CHILD_ERRORS) if isinstance(exc, cls)), None)
-        error = (i, kind, str(exc) if kind is not None
-                 else "".join(traceback.format_exception(exc)))
-    conn.send((rows, error))
+    """A forked child's work: send its share's row texts."""
+    conn.send(_run_share(ec, share))
     conn.close()
-
-
-def _receive_share(proc, conn, share):
-    """What _send_share sent: (rows, None) or (rows, (index, exception))."""
-    try:
-        rows, error = conn.recv()
-    except EOFError:
-        proc.join()
-        return [], (share[0][0], SafeliftError(
-            f"a sweep process exited with code {proc.exitcode} before its rows"))
-    if error is not None:
-        i, kind, text = error
-        error = (i, RuntimeError(f"sweep row {i} failed:\n{text}") if kind is None
-                 else _CHILD_ERRORS[kind](text))
-    return rows, error
 
 
 def _sweep_workers(n_rows: int) -> int:
@@ -228,17 +202,18 @@ def _sweep_workers(n_rows: int) -> int:
 
 
 def _run_rows(ec, jobs) -> dict:
-    """{index: row text} of jobs, a list of (index, label, sim), or the first
-    error in row order.
+    """{index: row text} of jobs, a list of (index, label, sim) in row order,
+    or the first row error in row order.
 
     The jobs are dealt into interleaved shares, one per process. The parent
     runs share 0 itself; each forked child inherits the configs (which hold
-    closures, so they cannot be pickled), runs its share and sends back only
-    strings. Every child is joined before this returns or raises.
+    closures, so they cannot be pickled) and sends back only the row texts
+    of its share up to its first error. After the joins, the parent runs
+    the rows no process delivered in row order, as a one-process sweep would.
     """
     n = _sweep_workers(len(jobs))
     shares = [jobs[w::n] for w in range(n)]
-    children, results = [], []
+    children, received = [], []
     if n > 1:
         import multiprocessing
 
@@ -252,20 +227,23 @@ def _run_rows(ec, jobs) -> dict:
             proc.start()
             send.close()
             children.append((proc, recv))
-        results.append(_run_share(ec, shares[0]))
-        for (proc, recv), share in zip(children, shares[1:]):
-            results.append(_receive_share(proc, recv, share))
+        received.append(_run_share(ec, shares[0]))
+        for _, recv in children:
+            try:
+                received.append(recv.recv())
+            except EOFError:  # the child died; its rows run below
+                received.append({})
     finally:
         for proc, recv in children:
-            if len(results) < n:  # interrupted: no share is still wanted
+            if len(received) < n:  # interrupted: no share is still wanted
                 proc.terminate()
             proc.join()
             recv.close()
-    errors = [error for _, error in results if error is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return {i: row for (rows, _), share in zip(results, shares)
-            for (i, _, _), row in zip(share, rows)}
+    rows = {i: row for share_rows in received for i, row in share_rows.items()}
+    for i, label, sim in jobs:
+        if i not in rows:
+            rows[i] = _sweep_row(ec, i, label, sim)
+    return rows
 
 
 def _cmd_sweep(args) -> int:

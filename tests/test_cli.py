@@ -527,7 +527,8 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: virtual gain 0.0 at x1=0.0\n"
         assert multiprocessing.active_children() == []
 
-    def test_other_error_in_a_child_carries_its_traceback(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_error_in_a_child_is_raised_as_is(self, tmp_path, monkeypatch, cpus):
         real = cli.run_sim
 
         def broken(sim):
@@ -536,20 +537,54 @@ class TestSweepCommand:
             return real(sim)
 
         monkeypatch.setattr(cli, "run_sim", broken)
-        use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, cpus)
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
-        with pytest.raises(RuntimeError, match=r"(?s)^sweep row 1 failed:\n.*"
-                                               r"ZeroDivisionError: a defect"):
+        with pytest.raises(ZeroDivisionError, match=r"^a defect$"):
             main(["sweep", cfg, "--out", str(tmp_path / "o")])
         assert multiprocessing.active_children() == []
 
-    def test_child_that_dies_silently_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_child_that_dies_costs_time_not_the_sweep(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        use_cpus(monkeypatch, 1)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "1")]) == 0
+        run_here = []
+        row = cli._sweep_row
+        monkeypatch.setattr(cli, "_sweep_row",
+                            lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
         monkeypatch.setattr(cli, "_send_share", lambda ec, share, conn: os._exit(5))
         use_cpus(monkeypatch, 2)
-        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
-        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == (
-            "error: a sweep process exited with code 5 before its rows\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "2")]) == 0
+        # Share 0, then the dead child's row 1, here.
+        assert run_here == [0, 2, 1]
+        assert ((tmp_path / "2" / "sweep.csv").read_bytes()
+                == (tmp_path / "1" / "sweep.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, k1_runs", [(1, [1.0, 2.0, 2.0]), (2, [1.0, 3.0, 2.0])],
+                             ids=["1", "2"])
+    def test_only_the_first_failing_row_runs_again(
+            self, tmp_path, capsys, monkeypatch, cpus, k1_runs):
+        # The rows of test_first_error_in_row_order_wins. At 2 CPUs row 1
+        # fails in the child and row 2 here: this process runs row 1 once, in
+        # its final pass, and not row 2 again. At 1 CPU its share stops at
+        # row 1, which the final pass runs again, and row 2 never runs.
+        calls = []
+        real = cli.run_sim
+
+        def failing(sim):
+            calls.append(sim.gains.k1)
+            if sim.gains.k1 == 1.0:
+                return real(sim)
+            if sim.gains.k1 == 2.0:
+                raise sl.ConfigError("row 1 refused")
+            raise SingularityDetected("row 2 singular")
+
+        monkeypatch.setattr(cli, "run_sim", failing)
+        use_cpus(monkeypatch, cpus)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "configuration error: row 1 refused\n"
+        assert calls == k1_runs
         assert multiprocessing.active_children() == []
 
 
