@@ -18,11 +18,12 @@ into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
-past per-row failures. Its rows run across min(rows, usable CPUs)
-processes, forked children and this one, and sweep.csv is byte-identical
-to a one-process sweep. A child returns its rows up to its first error and
-this process runs the missing rows in row order, so errors, exit codes and
-stderr are the one-process sweep's; a child that dies costs time, not rows.
+past per-row failures. Its rows are cut into consecutive shares over
+min(rows, usable CPUs) processes, this one first, then forked children,
+and sweep.csv is byte-identical to a one-process sweep. This process runs
+its own share, then each child's undelivered rows, in row order, so errors,
+exit codes and stderr are the one-process sweep's, and a failing sweep
+stops at its first failing row without waiting for the children.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -174,21 +175,16 @@ def _sweep_row(ec, i, label, sim) -> str:
             f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
 
 
-def _run_share(ec, share) -> dict:
-    """{index: row text} of share, a list of (index, label, sim), run in
-    order up to its first row that raises."""
+def _send_share(ec, share, conn) -> None:
+    """A forked child's work: send {index: row text} of its share, a list of
+    (index, label, sim), run in order up to its first row that raises."""
     rows = {}
     for i, label, sim in share:
         try:
             rows[i] = _sweep_row(ec, i, label, sim)
-        except Exception:
+        except Exception:  # the parent runs this row again and raises
             break
-    return rows
-
-
-def _send_share(ec, share, conn) -> None:
-    """A forked child's work: send its share's row texts."""
-    conn.send(_run_share(ec, share))
+    conn.send(rows)
     conn.close()
 
 
@@ -205,15 +201,18 @@ def _run_rows(ec, jobs) -> dict:
     """{index: row text} of jobs, a list of (index, label, sim) in row order,
     or the first row error in row order.
 
-    The jobs are dealt into interleaved shares, one per process. The parent
-    runs share 0 itself; each forked child inherits the configs (which hold
-    closures, so they cannot be pickled) and sends back only the row texts
-    of its share up to its first error. After the joins, the parent runs
-    the rows no process delivered in row order, as a one-process sweep would.
+    The jobs are cut into consecutive shares, one per process, the first
+    and longest the parent's. Each forked child inherits the configs
+    (which hold closures, so they cannot be pickled) and sends back the row
+    texts of its share up to its first error. The parent runs one loop in
+    row order: its own share, then each child's undelivered rows. So the
+    first row that raises is the sweep's first error, raised from its only
+    run here, and an error or interrupt stops the children at once.
     """
     n = _sweep_workers(len(jobs))
-    shares = [jobs[w::n] for w in range(n)]
-    children, received = [], []
+    cuts = [-(-w * len(jobs) // n) for w in range(n + 1)]
+    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+    children, rows = [], {}
     if n > 1:
         import multiprocessing
 
@@ -227,22 +226,19 @@ def _run_rows(ec, jobs) -> dict:
             proc.start()
             send.close()
             children.append((proc, recv))
-        received.append(_run_share(ec, shares[0]))
-        for _, recv in children:
-            try:
-                received.append(recv.recv())
-            except EOFError:  # the child died; its rows run below
-                received.append({})
+        for w, share in enumerate(shares):
+            if w:  # child w's share: take what it sent, none if it died
+                with suppress(EOFError):
+                    rows.update(children[w - 1][1].recv())
+            for i, label, sim in share:
+                if i not in rows:
+                    rows[i] = _sweep_row(ec, i, label, sim)
     finally:
         for proc, recv in children:
-            if len(received) < n:  # interrupted: no share is still wanted
+            if len(rows) < len(jobs):  # an error or an interrupt: stop them
                 proc.terminate()
             proc.join()
             recv.close()
-    rows = {i: row for share_rows in received for i, row in share_rows.items()}
-    for i, label, sim in jobs:
-        if i not in rows:
-            rows[i] = _sweep_row(ec, i, label, sim)
     return rows
 
 

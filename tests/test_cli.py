@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -138,7 +139,8 @@ def use_cpus(monkeypatch, n):
 @pytest.mark.parametrize("t_final", ["1e12", "1e300"])
 def test_unloggable_horizon_in_every_share_is_one_config_error(
         tmp_path, capsys, monkeypatch, t_final):
-    # Rows 0 and 2 fail in this process, row 1 in the forked one.
+    # Every row fails: rows 0 and 1 are this process's share, row 2 the
+    # forked one's, and row 0's error ends the sweep.
     use_cpus(monkeypatch, 2)
     body = BASE.replace("t_final = 2.0", f"t_final = {t_final}")
     cfg = write_cfg(tmp_path, body + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
@@ -486,18 +488,20 @@ class TestSweepCommand:
             run_here.clear()
             assert main(["sweep", cfg, "--out", str(tmp_path / str(n))]) == 0
             csv_bytes[n] = (tmp_path / str(n) / "sweep.csv").read_bytes()
-            # This process runs share 0 of the six valid rows; children the rest.
-            assert run_here == [0, 2, 3, 4, 6, 7][::min(n, 6)]
+            # This process runs share 0, the first ceil(6 / n) valid rows;
+            # children the rest.
+            assert run_here == [0, 2, 3, 4, 6, 7][:-(-6 // min(n, 6))]
         assert csv_bytes[cpus] == csv_bytes[1]
         rows = [r.split(",") for r in csv_bytes[1].decode().splitlines()[1:]]
         assert [r[0] for r in rows] == [str(i) for i in range(8)]
         assert [r[2] for r in rows] == self.MIXED_STATUS
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_error_in_row_order_wins(self, tmp_path, capsys, monkeypatch, cpus):
-        # Row 1 (a child's share) and row 2 (this process's) both fail; the
-        # sweep reports row 1's error, as the serial sweep does.
+        # Rows 1 and 2 both fail; the sweep reports row 1's error, as the
+        # serial sweep does. At 2 CPUs row 1 is this process's and row 2 a
+        # child's; at 3 CPUs they fail in two different children.
         def failing(sim):
             if sim.gains.k1 == 2.0:
                 raise sl.ConfigError("row 1 refused")
@@ -554,20 +558,18 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "_send_share", lambda ec, share, conn: os._exit(5))
         use_cpus(monkeypatch, 2)
         assert main(["sweep", cfg, "--out", str(tmp_path / "2")]) == 0
-        # Share 0, then the dead child's row 1, here.
-        assert run_here == [0, 2, 1]
+        # Share 0, then the dead child's row 2, here.
+        assert run_here == [0, 1, 2]
         assert ((tmp_path / "2" / "sweep.csv").read_bytes()
                 == (tmp_path / "1" / "sweep.csv").read_bytes())
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus, k1_runs", [(1, [1.0, 2.0, 2.0]), (2, [1.0, 3.0, 2.0])],
-                             ids=["1", "2"])
-    def test_only_the_first_failing_row_runs_again(
-            self, tmp_path, capsys, monkeypatch, cpus, k1_runs):
-        # The rows of test_first_error_in_row_order_wins. At 2 CPUs row 1
-        # fails in the child and row 2 here: this process runs row 1 once, in
-        # its final pass, and not row 2 again. At 1 CPU its share stops at
-        # row 1, which the final pass runs again, and row 2 never runs.
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_only_the_first_failing_row_runs_again(self, tmp_path, capsys, monkeypatch, cpus):
+        # The rows of test_first_error_in_row_order_wins. At 1 CPU row 1 runs
+        # once and raises, and row 2 never runs. At 3 CPUs rows 1 and 2 fail
+        # in two children: this process runs row 1 again, which raises, and
+        # not row 2.
         calls = []
         real = cli.run_sim
 
@@ -584,8 +586,49 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "configuration error: row 1 refused\n"
-        assert calls == k1_runs
+        assert calls == [1.0, 2.0]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [sl.ConfigError("row 1 refused"), KeyboardInterrupt()],
+                             ids=["config-error", "interrupt"])
+    def test_error_here_stops_the_children_at_once(self, tmp_path, monkeypatch, error):
+        # At 2 CPUs rows 0 and 1 are this process's share and row 2 the
+        # child's. Row 1 raises here while row 2 sleeps in the child: the
+        # sweep ends at once, with the child stopped and joined.
+        real = cli.run_sim
+
+        def failing(sim):
+            if sim.gains.k1 == 2.0:
+                raise error
+            if sim.gains.k1 == 3.0:
+                time.sleep(60)
+            return real(sim)
+
+        monkeypatch.setattr(cli, "run_sim", failing)
+        use_cpus(monkeypatch, 2)
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        start = time.monotonic()
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(["sweep", cfg, "--out", str(tmp_path / "o")])
+        else:
+            assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert time.monotonic() - start < 20
+        assert multiprocessing.active_children() == []
+
+    def test_no_cpu_mask_runs_one_process(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        use_cpus(monkeypatch, 2)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "2")]) == 0
+        run_here = []
+        row = cli._sweep_row
+        monkeypatch.setattr(cli, "_sweep_row",
+                            lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "1")]) == 0
+        assert run_here == [0, 1, 2]
+        assert ((tmp_path / "1" / "sweep.csv").read_bytes()
+                == (tmp_path / "2" / "sweep.csv").read_bytes())
 
 
 class TestCheckAssumptionsCommand:
