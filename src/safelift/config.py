@@ -108,12 +108,10 @@ class ExperimentConfig:
     sweep: dict[str, list[float]] = field(default_factory=dict)
 
 
-def _number(sec, key, default=None, kind=float):
+def _number(sec, key, kind=float):
     raw = sec.get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{sec.name}]")
-        return default
+        raise ConfigError(f"missing required key {key!r} in [{sec.name}]")
     try:
         return kind(raw)
     except ValueError:
@@ -143,14 +141,13 @@ def _build_sim(parser) -> SimConfig:
     fam1 = get_family(lsec.get("family", "tanh"))
     fam2 = get_family(lsec["family2"]) if "family2" in lsec else fam1
     family = fam1 if fam2 == fam1 else (fam1, fam2)  # an equal pair is one family
-    gains = ControllerGains(*(_number(csec, k, 1.0) for k in ("k1", "gamma", "alpha")))
-    x0 = (_number(isec, "x1", 0.0), _number(isec, "x2", 0.0))
-    est0 = EstimatorState(_number(isec, "p2_hat", 1.0), _number(isec, "theta1_hat", 0.0))
-    return SimConfig(plant=plant, safe_set=safe_set, gains=gains,
-                     x1d=_number(parser["reference"], "x1d"), x0=x0, est0=est0,
-                     family=family, **_numbers(ssec, "dt", "t_final"),
-                     **_numbers(ssec, "log_stride", kind=int),
-                     **_numbers(csec, "p2_law_sign"))
+    sim = SimConfig(plant=plant, safe_set=safe_set, gains=ControllerGains(1.0, 1.0, 1.0),
+                    x1d=_number(parser["reference"], "x1d"), x0=(0.0, 0.0),
+                    est0=EstimatorState(1.0, 0.0), family=family,
+                    **_numbers(ssec, "dt", "t_final"), **_numbers(csec, "p2_law_sign"),
+                    **_numbers(ssec, "log_stride", kind=int))
+    sweepable = _numbers(csec, *_KEYS["sweep"]) | _numbers(isec, *_KEYS["sweep"])
+    return apply_overrides(sim, sweepable)  # the one writer of the file's gains and start
 
 
 def load_config(path) -> ExperimentConfig:
@@ -188,9 +185,7 @@ def load_config(path) -> ExperimentConfig:
     sweep: dict[str, list[float]] = {}
     for key, raw in parser["sweep"].items():
         try:
-            sweep[key] = [float(v) for v in raw.split(",") if v.strip()]
-            if not sweep[key]:
-                raise ValueError
+            sweep[key] = [float(v) for v in raw.split(",")]
         except ValueError:
             raise ConfigError(f"[sweep] {key} = {raw!r} is not a comma list "
                               f"of numbers") from None
@@ -199,7 +194,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(sim: SimConfig, overrides: dict[str, float]) -> SimConfig:
-    """Rebuild a SimConfig with sweep overrides applied (and revalidated)."""
+    """Rebuild sim with sweepable values (a file's or a row's) replaced and revalidated."""
     for key in overrides:
         if key not in _KEYS["sweep"]:
             raise ConfigError(f"override key {key!r} not sweepable; allowed: "

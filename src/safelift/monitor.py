@@ -216,10 +216,10 @@ def certify(traj, cfg, thresholds: Optional[CertThresholds] = None) -> Certifica
     cert.final_u = float(traj.u[-1])
     cert.final_z2 = float(traj.z2[-1])
 
-    law, (th1, th2) = cfg._law
-    dz1, phi, psi, dp2, dth1, *_ = lifted_stage(law, cfg.safe_set, cfg.family)(
+    dz1, phi, psi, dp2, dth1, *_ = lifted_stage(cfg._law, cfg.safe_set, cfg.family)(
         traj.z1[-1], traj.z2[-1], float(traj.p2_hat[-1]), float(traj.theta1_hat[-1]))
-    cert.equilibrium_residual = max(abs(dz1), abs(th1 * phi + th2 * psi), abs(dp2), abs(dth1))
+    dz2 = cfg.plant.theta1 * phi + cfg.plant.theta2 * psi
+    cert.equilibrium_residual = max(abs(dz1), abs(dz2), abs(dp2), abs(dth1))
     return cert
 
 

@@ -125,14 +125,13 @@ class SimConfig:
         return LiftedDynamics(plant=self.plant, safe_set=self.safe_set,
                               family=self.family)
 
-    # (law, theta): the law over the plant's control view, and the true
-    # parameters only _rk4 sees. Compiled once per config; replace() builds
+    # The law over the plant's control view; the true parameters stay in the
+    # plant, their one home, for _rk4. Compiled once per config; replace() builds
     # a new config, so a changed field never meets a stale closure.
     @cached_property
     def _law(self):
-        return (compile_law(self.plant.control_view(), self.safe_set, self.family,
-                            self.gains, self.reference, self.p2_law_sign),
-                (self.plant.theta1, self.plant.theta2))
+        return compile_law(self.plant.control_view(), self.safe_set, self.family,
+                           self.gains, self.reference, self.p2_law_sign)
 
 
 @dataclass
@@ -211,15 +210,15 @@ def write_csvs(tables) -> None:
                 fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _rk4(stage, theta, dt):
+def _rk4(stage, plant, dt):
     """The classical RK4 step of a stage in regressor form, as a closure.
 
     stage(s1, s2, p2h, th1h) returns (s1', phi, psi, p2h', th1h', ...), and
-    s2' = theta1 * phi + theta2 * psi is formed here. theta, h and dt / 6 are
-    bound once; rk4(s1, s2, p2h, th1h, a) takes the first stage, a = stage(s1,
-    s2, p2h, th1h), which the caller has evaluated, and returns the next state.
+    s2' = theta1 * phi + theta2 * psi is formed here with the plant's theta1,
+    theta2, bound once with h and dt / 6; rk4(s1, s2, p2h, th1h, a) takes the
+    caller's first stage a = stage(s1, s2, p2h, th1h) and returns the next state.
     """
-    th1, th2 = theta
+    th1, th2 = plant.theta1, plant.theta2
     h = 0.5 * dt
     w = dt / 6.0
 
@@ -247,10 +246,9 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     time) if any stage leaves the guard band, hits a singular gain, or sees
     a non-finite value.
     """
-    law, theta = cfg._law
     s = (state[0], state[1], est.p2_hat, est.theta1_hat)
     try:
-        x1, x2, p2h, th1h = _rk4(law, theta, cfg.dt)(*s, law(*s))
+        x1, x2, p2h, th1h = _rk4(cfg._law, cfg.plant, cfg.dt)(*s, cfg._law(*s))
     except _STAGE_ERRORS as exc:
         raise StepRejected(t, exc) from exc
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
@@ -267,7 +265,6 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     V's analytic rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and numeric rate are
     formed from the log with z and V, so the monitor can compare them.
     """
-    _, theta = cfg._law
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
@@ -279,7 +276,7 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
-    rk4 = _rk4(stage, theta, dt)
+    rk4 = _rk4(stage, cfg.plant, dt)
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
 
     def flush():
@@ -329,7 +326,7 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
 
 def run(cfg: SimConfig) -> Trajectory:
     """Integrate the closed loop in x to t_final (or to the first failure)."""
-    return _integrate(cfg, cfg._law[0], cfg.x0)
+    return _integrate(cfg, cfg._law, cfg.x0)
 
 
 def run_lifted(cfg: SimConfig) -> Trajectory:
@@ -341,4 +338,4 @@ def run_lifted(cfg: SimConfig) -> Trajectory:
     and the run records the abort as run does.
     """
     ss, fam = cfg.safe_set, cfg.family
-    return _integrate(cfg, lifted_stage(cfg._law[0], ss, fam), lift(cfg.x0, ss, fam).z)
+    return _integrate(cfg, lifted_stage(cfg._law, ss, fam), lift(cfg.x0, ss, fam).z)

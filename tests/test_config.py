@@ -120,6 +120,20 @@ class TestLoadConfig:
         # Untouched thresholds keep their defaults.
         assert ec.thresholds.vdot_tol == 1e-3
 
+    @pytest.mark.parametrize("key, value", [
+        ("k1", 0.5), ("gamma", 1.5), ("alpha", 2.0), ("x1d", 1.0),
+        ("x1", -0.5), ("x2", 0.5), ("p2_hat", 2.0), ("theta1_hat", -3.0)])
+    def test_file_value_equals_its_override(self, tmp_path, key, value):
+        # Each sweepable key read from a file lands where a sweep row's
+        # override of the same key lands, and nowhere else.
+        base = sl.load_config(write_cfg(tmp_path, REQUIRED_ONLY, "base.cfg")).sim
+        section = "controller" if key in sl_config._KEYS["controller"] else "initial"
+        body = (REQUIRED_ONLY.replace("x1d = -1.9", f"x1d = {value}") if key == "x1d"
+                else REQUIRED_ONLY + f"[{section}]\n{key} = {value}\n")
+        sim = sl.load_config(write_cfg(tmp_path, body)).sim
+        assert sim == apply_overrides(base, {key: value})
+        assert sim != base
+
     def test_per_state_families(self, tmp_path):
         body = MINIMAL + textwrap.dedent("""
         [lifting]
@@ -218,8 +232,9 @@ class TestLoadConfigErrors:
             sl.load_config(write_cfg(tmp_path, MINIMAL + "[sweep]\ndt = 1, 2\n"))
 
     def test_bad_sweep_values(self, tmp_path):
-        # An empty list would make an empty sweep that writes no rows.
-        for values in ("a, b", ",", ""):
+        # An empty list would make an empty sweep that writes no rows, and
+        # an empty item a shorter sweep than the file lists.
+        for values in ("a, b", ",", "", "1.0, , 2.0", "1.0, 2.0,"):
             with pytest.raises(ConfigError, match="comma list"):
                 sl.load_config(write_cfg(tmp_path, MINIMAL + f"[sweep]\nk1 = {values}\n"))
 

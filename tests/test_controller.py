@@ -202,7 +202,7 @@ class TestParameterFirewall:
         assert not hasattr(shape, "theta1") and not hasattr(shape, "theta2")
         law = sl.compile_law(shape, cfg.safe_set, cfg.family, cfg.gains,
                              cfg.reference, cfg.p2_law_sign)
-        hot, theta = cfg._law
+        hot = cfg._law
         rng = np.random.default_rng(25)
         for _ in range(50):
             s = (rng.uniform(-1.9, 1.9), rng.uniform(-0.95, 0.95),
@@ -212,7 +212,7 @@ class TestParameterFirewall:
             assert out == hot(*s)
         s0 = (*cfg.x0, cfg.est0.p2_hat, cfg.est0.theta1_hat)
         traj = sl.run(bench_cfg(t_final=0.01))
-        assert _rk4(law, theta, cfg.dt)(*s0, law(*s0)) == (
+        assert _rk4(law, cfg.plant, cfg.dt)(*s0, law(*s0)) == (
             traj.x1[1], traj.x2[1], traj.p2_hat[1], traj.theta1_hat[1])
 
     def test_law_reads_sign_from_shape(self, motor, box, tanh_fam, ref, gains):

@@ -132,7 +132,7 @@ def test_interior_states_bit_equal(plant, family, sign):
     shape = PLANTS[plant].control_view()
     law, ref_law = both_laws(shape, FAMILIES[family], sign)
     theta = (PLANTS[plant].theta1, PLANTS[plant].theta2)
-    rk4 = _rk4(law, theta, 1e-3)
+    rk4 = _rk4(law, PLANTS[plant], 1e-3)
     for s in interior_states(np.random.default_rng(19), 200):
         assert hexes(law(*s)) == hexes(ref_law(*s)), s
         assert outcome(rk4, *s, law(*s)) == outcome(

@@ -38,9 +38,9 @@ def _stages(cfg, route):
     ref_law = reference_law(cfg.plant.control_view(), cfg.safe_set, cfg.family,
                             cfg.gains, cfg.reference, cfg.p2_law_sign)
     if route == "x":
-        return cfg._law[0], ref_law, cfg.x0
+        return cfg._law, ref_law, cfg.x0
     ss, fam = cfg.safe_set, cfg.family
-    return (lifted_stage(cfg._law[0], ss, fam), lifted_stage(ref_law, ss, fam),
+    return (lifted_stage(cfg._law, ss, fam), lifted_stage(ref_law, ss, fam),
             sl.lift(cfg.x0, ss, fam).z)
 
 

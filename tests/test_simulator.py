@@ -152,7 +152,7 @@ class TestStageFnMirrorsPublicApi:
         # The hot path's law, with theta combined as _rk4 combines it, must
         # agree with the true plant (plant_rhs) driven by lift + evaluate.
         cfg = bench_cfg()
-        law, (th1, th2) = cfg._law
+        law, th1, th2 = cfg._law, cfg.plant.theta1, cfg.plant.theta2
         dyn = cfg.dynamics()
         rng = np.random.default_rng(31)
         for _ in range(300):
