@@ -17,6 +17,11 @@ estimation errors against theta1/x2_max and 1/theta2, plain and log10)
 into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
+With more than one usable CPU, a forked writer (simulator.CsvStream) writes
+the three CSVs while this process integrates, then this process certifies,
+reaps the writer and writes cert.txt and the SVGs. With one CPU, or when
+the writer could not start or failed, this process writes the CSVs after
+the loop, so the files, exit code and stderr are those of a one-process run.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
 past per-row failures. Its rows are cut into consecutive shares over
 min(rows, usable CPUs) processes, this one first, then forked children,
@@ -41,7 +46,7 @@ from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify, estimate_targets
 from .plant import check_assumptions
-from .simulator import run as run_sim, write_csvs
+from .simulator import CsvStream, run as run_sim, write_csvs
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -122,25 +127,38 @@ def _out_dir(args, ec) -> Path:
     return out_dir
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on. One where there is no CPU mask to
+    read (macOS, Windows), which also keeps platforms without fork on the
+    one-process path of `run` and `sweep`."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _cmd_run(args) -> int:
     ec = load_config(args.config)
     out_dir = _out_dir(args, ec)
+    sim = ec.sim
 
-    traj = run_sim(ec.sim)
-    cert = certify(traj, ec.sim, ec.thresholds)
+    def tables(traj):
+        """The three CSV tables of traj, or of a block of its rows."""
+        return [traj.csv_table(out_dir / "trace.csv"),
+                (out_dir / "states_input.csv", "t,x1,x2,u",
+                 (traj.t, traj.x1, traj.x2, traj.u)),
+                (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
+                 (traj.t, *_estimation_errors(traj, sim.plant, sim.safe_set)))]
 
-    errors = _estimation_errors(traj, ec.sim.plant, ec.sim.safe_set)
+    with CsvStream(tables) as stream:
+        traj = run_sim(sim, stream if _usable_cpus() > 1 else None)
+        cert = certify(traj, sim, ec.thresholds)
+        written = stream.wait()
     with _writing(out_dir):
-        write_csvs([traj.csv_table(out_dir / "trace.csv"),
-                    (out_dir / "states_input.csv", "t,x1,x2,u",
-                     (traj.t, traj.x1, traj.x2, traj.u)),
-                    (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
-                     (traj.t, *errors))])
+        if not written:
+            write_csvs(tables(traj))
         (out_dir / "cert.txt").write_text(cert.to_report())
         if args.svg and len(traj):
             _render_svg(out_dir / "states_input.svg", "states and control input",
                         traj.t, [("x1", traj.x1), ("x2", traj.x2), ("u", traj.u)])
-            _, _, th1_log, p2_log = errors
+            _, _, th1_log, p2_log = _estimation_errors(traj, sim.plant, sim.safe_set)
             _render_svg(out_dir / "estimation_errors.svg",
                         "log10 parameter estimation errors",
                         traj.t, [("log10|theta1 err|", th1_log),
@@ -188,15 +206,6 @@ def _send_share(ec, share, conn) -> None:
     conn.close()
 
 
-def _sweep_workers(n_rows: int) -> int:
-    """Processes for n_rows sweep rows: one per usable CPU, at most one per
-    row. One where there is no CPU mask to read (macOS, Windows), which also
-    keeps platforms without fork on the one-process path."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(n_rows, len(os.sched_getaffinity(0))))
-
-
 def _run_rows(ec, jobs) -> dict:
     """{index: row text} of jobs, a list of (index, label, sim) in row order,
     or the first row error in row order.
@@ -209,7 +218,7 @@ def _run_rows(ec, jobs) -> dict:
     first row that raises is the sweep's first error, raised from its only
     run here, and an error or interrupt stops the children at once.
     """
-    n = _sweep_workers(len(jobs))
+    n = max(1, min(len(jobs), _usable_cpus()))  # at most one process per row
     cuts = [-(-w * len(jobs) // n) for w in range(n + 1)]
     shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
     children, rows = [], {}

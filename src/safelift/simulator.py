@@ -21,18 +21,25 @@ is the StepRejected that step raises.
 
 The loop only steps and logs; z, V (monitor.lyapunov_fn, from the true
 parameters, never fed back) and V's two rates come from the log after it,
-with unsquash(x2 / x2_max) formed once per sample for z2 and for V.
+with unsquash(x2 / x2_max) formed once per sample for z2 and for V. One
+function, _columns, forms them for any block of log rows: each column is a
+row's own arithmetic except V's numeric rate, np.gradient's explicit
+three-point formulas over the row and its neighbours (_rate).
 
 write_csvs writes several CSV tables in one chunked pass: per chunk, one
 vectorised "%.15g" call (_g15) formats each distinct column array once,
 every table gathers its cells from that block, and Trajectory.to_csv is the
-one-table case.
+one-table case. A CsvStream writes the same files from a forked process
+while the loop runs: run hands it a log held in shared memory, and after
+each flush the writer formats the rows whose columns are final.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import os
 import struct
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -54,7 +61,9 @@ from .plant import LiftedDynamics, PlantDef, require_truth
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 # Stage tuples _integrate holds (0.4 kB each) before one struct.pack logs them:
 # 0.27-0.28 µs a row, against 0.42 µs for np.fromiter and 1.4-1.7 µs for a
-# column store (256 fig2 law tuples, 2-CPU shared host).
+# column store (256 fig2 law tuples, 2-CPU shared host). A CsvStream hears
+# of new rows only at a flush, so it runs up to this many rows (plus the one
+# whose rate waits for its successor) behind the loop.
 LOG_FLUSH_ROWS = 256
 
 
@@ -180,7 +189,38 @@ class Trajectory:
 # `safelift run` on the fig2 and certified configs, 256 rows peaked at
 # 41.5 MB, as the replaced %-format writer did; 512 rows took 42.8 MB and
 # 1024 rows 44.8 MB for up to 5% less time, 128 rows 41.0 MB but 7% more.
+# A CsvStream forms and writes the rows that are ready at most this many at
+# a time, so it also bounds the writer's own blocks.
 CSV_CHUNK_ROWS = 256
+
+
+def _open_csvs(stack, tables):
+    """The file of each (path, header, cols) table, opened in stack, its
+    header written."""
+    files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
+    for fh, (_, header, _) in zip(files, tables):
+        fh.write(header.encode() + b"\n")
+    return files
+
+
+def _write_rows(files, tables, lo=0, hi=None):
+    """Append rows lo:hi of each table's columns to its file.
+
+    Each column is cast to float64. The distinct column arrays (by id) are
+    formatted in one format_g15 call, each table gathers its cells from that
+    block, and one translate drops the cells' NUL padding.
+    """
+    distinct = {}  # id(column) -> (its place in the block, column)
+    layout = [[distinct.setdefault(id(col), (len(distinct), col))[0] for col in cols]
+              for _, _, cols in tables]
+    block = np.column_stack([np.asarray(col[lo:hi], dtype=np.float64)
+                             for _, col in distinct.values()])
+    cells = format_g15(block.ravel()).reshape(*block.shape, CELL)
+    for fh, idx in zip(files, layout):
+        rows = cells[:, idx]
+        rows[:, :, -1] = ord(",")
+        rows[:, -1, -1] = ord("\n")
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_csvs(tables) -> None:
@@ -188,26 +228,119 @@ def write_csvs(tables) -> None:
 
     tables holds (path, header, cols) entries, every column as long as the
     first; each column is cast to float64. Each file is byte-identical to
-    per-cell f"{v:.15g}" formatting. Per chunk, the distinct column arrays
-    (by id) are formatted in one format_g15 call, each table gathers its
-    cells from that block, and one translate drops the cells' NUL padding.
+    per-cell f"{v:.15g}" formatting. Per chunk of CSV_CHUNK_ROWS rows, each
+    distinct column is formatted once (_write_rows).
     """
-    distinct = {}  # id(column) -> (its place in each chunk's block, column)
-    layout = [[distinct.setdefault(id(col), (len(distinct), col))[0] for col in cols]
-              for _, _, cols in tables]
-    cols = [np.asarray(col, dtype=np.float64) for _, col in distinct.values()]
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
-        for fh, (_, header, _) in zip(files, tables):
-            fh.write(header.encode() + b"\n")
-        for lo in range(0, len(cols[0]), CSV_CHUNK_ROWS):
-            block = np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols])
-            cells = format_g15(block.ravel()).reshape(*block.shape, CELL)
-            for fh, idx in zip(files, layout):
-                rows = cells[:, idx]
-                rows[:, :, -1] = ord(",")
-                rows[:, -1, -1] = ord("\n")
-                fh.write(rows.tobytes().translate(None, b"\0"))
+        files = _open_csvs(stack, tables)
+        for lo in range(0, len(tables[0][2][0]), CSV_CHUNK_ROWS):
+            _write_rows(files, tables, lo, lo + CSV_CHUNK_ROWS)
+
+
+class CsvStream:
+    """A forked writer of a run's CSV files, fed from its log as it fills.
+
+    tables(traj) gives write_csvs' (path, header, cols) tables of a
+    Trajectory, which may be a block of a run's rows. run(cfg, stream) holds
+    the log in one shared anonymous mmap, forks the writer over it, and
+    sends it only a row count after each flush, then the final count. The
+    writer forms the rows whose columns are final with _columns and writes
+    them CSV_CHUNK_ROWS at a time, so its files are byte-identical to
+    write_csvs(tables(traj)) of the finished run.
+
+    wait() reaps the writer and says whether it wrote every file; a writer
+    that could not be forked, died or failed (a file it could not open, say)
+    leaves the files to the caller, who writes them as without a stream. As
+    a context manager, a stream reaps its writer on the way out: a writer
+    whose log never ended (an error or an interrupt here) sees its pipe
+    close and exits without finishing its files.
+    """
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.pid = None  # the writer's, until it is reaped
+        self.fd = None  # this end of the writer's pipe, until it is closed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.wait()
+
+    def start(self, cfg, log) -> None:
+        """Fork the writer over log, the shared log of a run of cfg."""
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no writer: the caller writes the files
+            pid = None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(wfd)
+                self._serve(cfg, log, rfd)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(rfd)
+        if pid is None:
+            os.close(wfd)
+        else:
+            self.pid, self.fd = pid, wfd
+
+    def send(self, n: int, final: bool = False) -> None:
+        """Tell the writer that log rows 0:n are filled, and whether the log
+        ends there. A writer that is gone is told nothing more."""
+        if self.fd is None:
+            return
+        try:
+            os.write(self.fd, struct.pack("q", ~n if final else n))
+        except BrokenPipeError:
+            final = True
+        if final:
+            os.close(self.fd)
+            self.fd = None
+
+    def wait(self) -> bool:
+        """Reap the writer; whether it wrote every file."""
+        if self.fd is not None:  # the log never ended: the writer gives up
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is None:
+            return False
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status == 0
+
+    def _serve(self, cfg, log, fd) -> None:
+        """The writer's work: rows as their columns become final, the rest
+        once the final count is in.
+
+        A row's numeric V rate reads the next row, and its formula depends
+        on whether every spacing of t in the whole log is equal (np.gradient's
+        uniform branch). So before the final count, only the rows before the
+        last filled one are written, and only once two spacings differ.
+        """
+        with ExitStack() as stack:
+            files = _open_csvs(stack, self.tables(_columns(cfg, log, 0, 0, 0)))  # no rows yet
+            h = _times(cfg, 0, 2)[-1]  # the first spacing (t starts at 0)
+            done = n = 0
+            mixed = final = False
+            while not final:
+                data = os.read(fd, 4096)  # whole counts: each is one 8-byte write
+                if not data:
+                    raise EOFError("the run ended without a final count")
+                count = struct.unpack(f"{len(data) // 8}q", data)[-1]
+                final = count < 0
+                filled = ~count if final else count
+                if not mixed and filled > 2:
+                    mixed = bool((np.diff(_times(cfg, max(n - 1, 0), filled)) != h).any())
+                n = filled
+                ready = n if final else n - 1 if mixed else 0
+                while done < ready:
+                    hi = min(done + CSV_CHUNK_ROWS, ready)
+                    _write_rows(files, self.tables(_columns(cfg, log, done, hi, n, not mixed)))
+                    done = hi
 
 
 def _rk4(stage, plant, dt):
@@ -254,7 +387,85 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
 
 
-def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
+def _times(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """t of log rows lo:hi: each logged step index i (the last one n) times dt."""
+    stride = cfg.log_stride
+    return np.minimum(np.arange(lo * stride, hi * stride, stride), cfg.n_steps) * cfg.dt
+
+
+def _rate(v, t, uniform=None):
+    """np.gradient(v, t, edge_order=min(2, len(t) - 1)), bit for bit, from its
+    explicit three-point formulas; nan for one sample.
+
+    uniform picks the formulas for equal spacings, which np.gradient takes
+    when every spacing of t equals the first; by default from t itself. A
+    caller that passes v and t of a window of a longer log passes the whole
+    log's choice, and uses the end formulas only where the window ends the log.
+    """
+    out = np.full_like(v, np.nan)
+    if len(v) < 2:
+        return out
+    dx = np.diff(t)
+    if len(v) == 2:  # edge_order 1: one spacing serves both ends
+        out[:] = (v[1] - v[0]) / dx[0]
+        return out
+    if uniform is None:
+        uniform = bool((dx == dx[0]).all())
+    if uniform:
+        h = dx[0]
+        out[1:-1] = (v[2:] - v[:-2]) / (2. * h)
+        a0, b0, c0 = -1.5 / h, 2. / h, -0.5 / h
+        a1, b1, c1 = 0.5 / h, -2. / h, 1.5 / h
+    else:
+        d1, d2 = dx[:-1], dx[1:]
+        out[1:-1] = (-d2 / (d1 * (d1 + d2)) * v[:-2] + (d2 - d1) / (d1 * d2) * v[1:-1]
+                     + d1 / (d2 * (d1 + d2)) * v[2:])
+        d1, d2 = dx[0], dx[1]
+        a0 = -(2. * d1 + d2) / (d1 * (d1 + d2))
+        b0 = (d1 + d2) / (d1 * d2)
+        c0 = -d1 / (d2 * (d1 + d2))
+        d1, d2 = dx[-2], dx[-1]
+        a1 = d2 / (d1 * (d1 + d2))
+        b1 = -(d2 + d1) / (d1 * d2)
+        c1 = (2. * d2 + d1) / (d2 * (d1 + d2))
+    out[0] = a0 * v[0] + b0 * v[1] + c0 * v[2]
+    out[-1] = a1 * v[-3] + b1 * v[-2] + c1 * v[-1]
+    return out
+
+
+def _columns(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform=None,
+             failure=None) -> Trajectory:
+    """Rows lo:hi of the Trajectory of a log whose rows 0:n are filled.
+
+    log holds (e1, e2, u, x1, x2, p2_hat, theta1_hat) in its rows, one column
+    per sample. t comes from _times, z from unsquash, V from
+    monitor.lyapunov_fn and its analytic rate from monitor.vdot_analytic,
+    row by row. The numeric rate (_rate) reads a window of up to two rows
+    either side; uniform is as for _rate. Unless n is the whole log,
+    hi < n and n >= 3, so no row in lo:hi takes an end formula.
+    """
+    a, b = max(0, min(lo - 1, n - 3)), min(n, max(hi + 1, 3))
+    t = _times(cfg, a, b)
+    e1, e2, u, x1, x2, p2h, th1h = log[:, a:b]
+    xb1, xb2 = cfg.safe_set.bounds
+    fam1, fam2 = family_pair(cfg.family)
+    zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(zn2, p2h, th1h, e1)
+        vdot_num = _rate(v, t, uniform)
+    k = slice(lo - a, hi - a)
+    x1, x2, e1, e2 = x1[k], x2[k], e1[k], e2[k]
+    return Trajectory(
+        t=t[k], x1=x1, x2=x2,
+        z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
+        z2=xb2 * zn2[k],
+        e1=e1, e2=e2, u=u[k], p2_hat=p2h[k], theta1_hat=th1h[k],
+        v=v[k], vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num[k],
+        in_safe_set=cfg.safe_set.contains(x1, x2),
+        failure=failure)
+
+
+def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) -> Trajectory:
     """The closed loop from (s0, est0) to t_final, or to the first failure.
 
     stage is an RK4 stage in regressor form whose output ends with the
@@ -262,8 +473,9 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
     theta1_hat); s0 is the initial point in the stage's own coordinates. A
     step's one stage call is _rk4's first stage; a logged step keeps its
     tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
-    V's analytic rate -(sqrt(k1) e1 - sqrt(k2) e2)^2 and numeric rate are
-    formed from the log with z and V, so the monitor can compare them.
+    With a writer, the log is shared with the writer it forks, and every
+    flush sends it the rows filled. The columns come from _columns, so the
+    monitor can compare V's analytic and numeric rates.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -271,20 +483,25 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
     try:
-        log = np.empty((8, n_log))
-    except (MemoryError, ValueError):
+        log = (np.empty((7, n_log)) if writer is None
+               else np.frombuffer(mmap.mmap(-1, 56 * n_log)).reshape(7, n_log))
+    except (MemoryError, ValueError, OverflowError, OSError):
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
+    if writer is not None:
+        writer.start(cfg, log)
     rk4 = _rk4(stage, cfg.plant, dt)
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
 
-    def flush():
+    def flush(final=False):
         k = len(rows)
         block = np.frombuffer(struct.pack(f"{12 * k}d", *chain.from_iterable(rows))
                               ).reshape(k, 12)
-        log[1:, j:j + k] = block[:, 5:].T
+        log[:, j:j + k] = block[:, 5:].T
         rows.clear()
+        if writer is not None:
+            writer.send(j + k, final)
         return j + k
 
     (s1, s2), p2h, th1h = s0, cfg.est0.p2_hat, cfg.est0.theta1_hat
@@ -301,32 +518,17 @@ def _integrate(cfg: SimConfig, stage, s0) -> Trajectory:
         except _STAGE_ERRORS as exc:
             failure = StepRejected(i * dt, exc)
             break
-    j = flush()
-    # t is each logged step index i (the last one n) times dt, as i * dt.
-    np.multiply(np.minimum(np.arange(0, j * stride, stride), n), dt, out=log[0, :j])
-    t, e1, e2, u, x1, x2, p2h, th1h = log[:, :j]
-    xb1, xb2 = cfg.safe_set.bounds
-    fam1, fam2 = family_pair(cfg.family)
-    zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
-        v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(zn2, p2h, th1h, e1)
-        if len(t) >= 2:
-            vdot_num = np.gradient(v, t, edge_order=min(2, len(t) - 1))
-        else:  # one sample has no rate
-            vdot_num = np.full_like(v, np.nan)
-    return Trajectory(
-        t=t, x1=x1, x2=x2,
-        z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
-        z2=xb2 * zn2,
-        e1=e1, e2=e2, u=u, p2_hat=p2h, theta1_hat=th1h,
-        v=v, vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num,
-        in_safe_set=cfg.safe_set.contains(x1, x2),
-        failure=failure)
+    j = flush(final=True)
+    return _columns(cfg, log, 0, j, j, failure=failure)
 
 
-def run(cfg: SimConfig) -> Trajectory:
-    """Integrate the closed loop in x to t_final (or to the first failure)."""
-    return _integrate(cfg, cfg._law, cfg.x0)
+def run(cfg: SimConfig, writer: Optional[CsvStream] = None) -> Trajectory:
+    """Integrate the closed loop in x to t_final (or to the first failure).
+
+    A writer (a CsvStream) writes the run's CSV files while it integrates;
+    its caller reaps it with writer.wait().
+    """
+    return _integrate(cfg, cfg._law, cfg.x0, writer)
 
 
 def run_lifted(cfg: SimConfig) -> Trajectory:

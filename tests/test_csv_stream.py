@@ -1,0 +1,264 @@
+"""`safelift run`'s forked CSV writer against the one-process run.
+
+With more than one usable CPU, `run` forks a writer (simulator.CsvStream)
+that writes the three CSVs from the shared log while the loop runs. Every
+file, the exit code and stderr must equal the one-CPU run's, whatever the
+log's length, stride, spacing or abort; a writer that fails or cannot be
+forked leaves the files to this process; an error or an interrupt leaves no
+child behind. V's numeric rate, now formed by explicit formulas a block of
+rows at a time, must equal np.gradient of the whole log bit for bit.
+"""
+
+import dataclasses
+import itertools
+import os
+import time
+
+import numpy as np
+import pytest
+
+import safelift as sl
+from safelift import cli, simulator
+from safelift.cli import main
+from safelift.errors import DomainViolation
+
+from test_cli import BASE, CERTIFIED, FIG2, REPO, use_cpus, write_cfg
+from test_law_reference import hexes
+from test_log_buffer import _stages, failing
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # none to reap, alive or dead
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_at(tmp_path, capsys, monkeypatch, cfg, cpus, flags=()):
+    """(exit code, stderr, {name: bytes}) of `safelift run` at `cpus` CPUs."""
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / f"cpus{cpus}"
+    code = main(["run", cfg, "--out", str(out), *flags])
+    err = capsys.readouterr().err.replace(str(out), "OUT")
+    return code, err, {f.name: f.read_bytes() if f.is_file() else "dir"
+                       for f in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def parent_writes(monkeypatch):
+    """How many times this process wrote the CSVs itself."""
+    calls = []
+    real = cli.write_csvs
+    monkeypatch.setattr(cli, "write_csvs", lambda tables: calls.append(1) or real(tables))
+    return calls
+
+
+def before_stage_call(monkeypatch, call, action):
+    """Make `run` call action() before its stage call number `call` (from
+    0); a step makes four stage calls, and a logged step logs its first."""
+    def run_sim(sim, writer=None):
+        law, count = sim._law, itertools.count()
+
+        def stage(*s):
+            if next(count) == call:
+                action()
+            return law(*s)
+
+        return simulator._integrate(sim, stage, sim.x0, writer)
+
+    monkeypatch.setattr(cli, "run_sim", run_sim)
+
+
+def abort():
+    raise DomainViolation("a stage in the guard band")
+
+
+def edited(path, **edits):
+    """The text of a bundled config with `key = value` lines replaced."""
+    body = (REPO / path).read_text()
+    for old, new in edits.items():
+        assert f"\n{old} = " in body
+        body = "\n".join(f"{old} = {new}" if line.startswith(f"{old} = ") else line
+                         for line in body.split("\n"))
+    return body
+
+
+ROWS = simulator.LOG_FLUSH_ROWS
+FLAT = BASE.replace("t_final = 2.0", "t_final = {t}")
+# (id, config text, the stage call that fails or None, flags)
+MATRIX = [
+    ("fig2", edited(FIG2), None, []),
+    ("fig2-svg", edited(FIG2), None, ["--svg"]),
+    ("certified", edited(CERTIFIED), None, []),
+    ("certified-svg", edited(CERTIFIED), None, ["--svg"]),
+    ("stride7-off-stride-final", FLAT.format(t="1.803\nlog_stride = 7"), None, []),
+    ("rows0", BASE, 0, []),
+    ("rows1", BASE, 1, []),
+    *[(f"rows{r}", FLAT.format(t=f"{(r - 1) / 1000}"), None, [])
+      for r in (2, 3, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1)],
+    ("abort-before-the-first-flush", BASE, 4 * 100, []),
+    ("abort-on-a-flush-boundary", BASE, 4 * ROWS, []),
+    ("abort-mid-chunk", BASE, 4 * (ROWS + 44) + 2, ["--svg"]),
+    ("x2max2-logit-tanh", BASE.replace("x2_max = 1.0", "x2_max = 2.0")
+     + "\n[lifting]\nfamily = logit\nfamily2 = tanh\n", None, []),
+    # Every spacing equal, not a power of two: np.gradient's uniform branch.
+    ("certified-dt0.09375", edited(CERTIFIED, dt=0.09375), None, []),
+    ("fig2-dt0.0029296875", edited(FIG2, dt=0.0029296875), None, []),
+    # A log planned with an off-stride final sample: uniform until its last
+    # spacing, or, cut short by an abort, uniform throughout.
+    ("fig2-dt0.0029296875-stride7", edited(FIG2, dt=0.0029296875, log_stride=7), None, []),
+    ("fig2-dt0.09375-stride7-abort", edited(FIG2, dt=0.09375, log_stride=7), None, []),
+    ("fig2-dt0.0029296875-stride7-abort", edited(FIG2, dt=0.0029296875, log_stride=7),
+     4 * 7 * 300 + 1, []),
+]
+
+
+@pytest.mark.parametrize("body, call, flags", [m[1:] for m in MATRIX],
+                         ids=[m[0] for m in MATRIX])
+def test_forked_writer_equals_one_process(tmp_path, capsys, monkeypatch, parent_writes,
+                                          body, call, flags):
+    cfg = write_cfg(tmp_path, body)
+    if call is not None:
+        before_stage_call(monkeypatch, call, abort)
+    one = run_at(tmp_path, capsys, monkeypatch, cfg, 1, flags)
+    two = run_at(tmp_path, capsys, monkeypatch, cfg, 2, flags)
+    assert parent_writes == [1]  # at 2 CPUs the writer wrote every CSV
+    assert two == one
+    assert set(one[2]) >= {"trace.csv", "states_input.csv", "estimation_errors.csv",
+                           "cert.txt"}
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("artifact", ["trace.csv", "estimation_errors.csv", "cert.txt"])
+def test_unwritable_artifact_reads_the_same_at_either_cpu_count(
+        tmp_path, capsys, monkeypatch, artifact):
+    # The writer dies opening a directory; this process writes the files
+    # itself, so the error, and the files written before it, are the
+    # one-process run's.
+    cfg = write_cfg(tmp_path, BASE)
+    for cpus in (1, 2):
+        (tmp_path / f"cpus{cpus}" / artifact).mkdir(parents=True)
+    one = run_at(tmp_path, capsys, monkeypatch, cfg, 1)
+    two = run_at(tmp_path, capsys, monkeypatch, cfg, 2)
+    assert one[0] == 2 and one[1].startswith(f"configuration error: cannot write OUT/{artifact}")
+    assert two == one
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("when", ["at-start", "mid-run"])
+def test_dead_writer_leaves_the_files_to_this_process(
+        tmp_path, capsys, monkeypatch, parent_writes, when):
+    # The writer exits with status 5 before its first file is open, or after
+    # its first block of rows. This process sleeps before its first flush, so
+    # at start its every count meets a closed pipe; it writes the files itself.
+    cfg = write_cfg(tmp_path, BASE)
+    one = run_at(tmp_path, capsys, monkeypatch, cfg, 1)
+    parent = os.getpid()
+    name = "_open_csvs" if when == "at-start" else "_write_rows"
+    real = getattr(simulator, name)
+    calls = []
+
+    def dying(*args):
+        if os.getpid() != parent and (when == "at-start" or calls):
+            os._exit(5)
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, name, dying)
+    before_stage_call(monkeypatch, 4 * (ROWS - 1), lambda: time.sleep(0.5))
+    two = run_at(tmp_path, capsys, monkeypatch, cfg, 2)
+    assert parent_writes == [1, 1]
+    assert two == one and one[0] == 0
+    assert_no_child_left()
+
+
+def test_writer_that_cannot_fork_leaves_the_files_to_this_process(
+        tmp_path, capsys, monkeypatch, parent_writes):
+    cfg = write_cfg(tmp_path, BASE)
+    one = run_at(tmp_path, capsys, monkeypatch, cfg, 1)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_at(tmp_path, capsys, monkeypatch, cfg, 2) == one
+    assert parent_writes == [1, 1]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.mark.parametrize("t_final", ["1e12", "1e300"])
+def test_unloggable_horizon_is_refused_before_any_fork(tmp_path, capsys, monkeypatch,
+                                                      forks, t_final):
+    cfg = write_cfg(tmp_path, BASE.replace("t_final = 2.0", f"t_final = {t_final}"))
+    code, err, files = run_at(tmp_path, capsys, monkeypatch, cfg, 2)
+    assert code == 2 and files == {} and forks == []
+    assert err.startswith("configuration error: a log of ") and "cannot be allocated" in err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("a defect"), KeyboardInterrupt()],
+                         ids=["defect", "interrupt"])
+@pytest.mark.parametrize("where", ["stage", "certify"])
+def test_error_after_the_fork_leaves_no_child(tmp_path, monkeypatch, forks, error, where):
+    # Raised from an RK4 stage after two flushes, or from certify once the
+    # writer has the final count; the writer is reaped either way.
+    cfg = write_cfg(tmp_path, BASE)
+    use_cpus(monkeypatch, 2)
+
+    def fail(*args):
+        raise error
+
+    if where == "stage":
+        before_stage_call(monkeypatch, 4 * 2 * ROWS + 2, fail)
+    else:
+        monkeypatch.setattr(cli, "certify", fail)
+    with pytest.raises(type(error)):
+        main(["run", cfg, "--out", str(tmp_path / "o")])
+    assert forks == [1]
+    assert_no_child_left()
+
+
+# (id, route, dt, stride, steps, the stage call that fails or None, whether
+# every spacing of t is equal, which makes np.gradient take its uniform branch)
+RATES = [
+    ("one-sample", "x", 1e-3, 1, 5, 1, None),
+    ("two-samples", "x", 1e-3, 1, 1, None, True),
+    ("three-samples", "x", 1e-3, 1, 2, None, True),
+    ("stride1", "x", 1e-3, 1, 600, None, False),
+    ("stride7-off", "x", 1e-3, 7, 7 * 80 + 3, None, False),
+    ("stride10", "x", 1e-3, 10, 10 * 80, None, False),
+    ("dt0.09375", "x", 0.09375, 1, 40, None, True),
+    ("dt0.09375-three-samples", "x", 0.09375, 1, 2, None, True),
+    ("dt0.0029296875", "x", 0.0029296875, 1, 700, None, True),
+    ("dt0.0029296875-stride7", "x", 0.0029296875, 7, 7 * 80, None, True),
+    ("dt0.0029296875-stride7-off", "x", 0.0029296875, 7, 7 * 80 + 3, None, False),
+    ("dt0.0029296875-stride10", "x", 0.0029296875, 10, 10 * 80, None, True),
+]
+RATES += [(f"lifted-{r[0]}", "z", *r[2:]) for r in RATES]
+
+
+@pytest.mark.parametrize("route, dt, stride, steps, call, uniform", [r[1:] for r in RATES],
+                         ids=[r[0] for r in RATES])
+def test_numeric_rate_is_np_gradient(route, dt, stride, steps, call, uniform):
+    # The certified scenario from x2(0) = 0.5: at dt = 0.09375 the lifted
+    # route from 0.9 leaves the guard band in its first step.
+    cfg = dataclasses.replace(sl.load_config(CERTIFIED).sim, dt=dt, t_final=steps * dt,
+                              log_stride=stride, x0=(0.0, 0.5))
+    assert cfg.n_steps == steps
+    stage, _, s0 = _stages(cfg, route)
+    if call is not None:
+        stage = failing(stage, call)
+    traj = simulator._integrate(cfg, stage, s0)
+    assert traj.completed == (call is None)
+    if uniform is None:  # one sample has no rate
+        assert len(traj) == 1 and np.isnan(traj.vdot_numeric).all()
+        return
+    spacings = np.diff(traj.t)
+    assert (spacings == spacings[0]).all() == uniform
+    want = np.gradient(traj.v, traj.t, edge_order=min(2, len(traj) - 1))
+    assert hexes(traj.vdot_numeric) == hexes(want)
