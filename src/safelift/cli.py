@@ -18,8 +18,9 @@ into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
 With more than one usable CPU, a forked writer (simulator.CsvStream) writes
-the three CSVs while this process integrates, then this process certifies,
-reaps the writer and writes cert.txt and the SVGs. With one CPU, or when
+the three CSVs and forms the derived columns while this process integrates;
+run reaps it and reads the trajectory from their shared log, then this
+process certifies and writes cert.txt and the SVGs. With one CPU, or when
 the writer could not start or failed, this process writes the CSVs after
 the loop, so the files, exit code and stderr are those of a one-process run.
 `sweep` writes one sweep.csv row per parameter combination and keeps going

@@ -31,7 +31,9 @@ vectorised "%.15g" call (_g15) formats each distinct column array once,
 every table gathers its cells from that block, and Trajectory.to_csv is the
 one-table case. A CsvStream writes the same files from a forked process
 while the loop runs: run hands it a log held in shared memory, and after
-each flush the writer formats the rows whose columns are final.
+each flush the writer forms the rows whose columns are final, stores their
+derived columns in the log and formats them. A run whose writer wrote
+every file reads its Trajectory from that log, so no column is formed twice.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._g15 import CELL, format_g15
+from ._g15 import CELL, format_g15, tables as g15_tables
 from .controller import (ControllerGains, EstimatorState, Reference, compile_law,
                          lifted_stage)
 from .errors import (ConfigError, DomainViolation, NonFiniteInput,
@@ -65,6 +67,10 @@ _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 # of new rows only at a flush, so it runs up to this many rows (plus the one
 # whose rate waits for its successor) behind the loop.
 LOG_FLUSH_ROWS = 256
+# The Trajectory columns of the log's rows: the seven the loop fills, then,
+# in the shared log of a run with a CsvStream, the five its writer forms.
+_RAW = ("e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
+_DERIVED = ("z1", "z2", "v", "vdot_analytic", "vdot_numeric")
 
 
 @dataclass(frozen=True)
@@ -244,14 +250,17 @@ class CsvStream:
     Trajectory, which may be a block of a run's rows. run(cfg, stream) holds
     the log in one shared anonymous mmap, forks the writer over it, and
     sends it only a row count after each flush, then the final count. The
-    writer forms the rows whose columns are final with _columns and writes
-    them CSV_CHUNK_ROWS at a time, so its files are byte-identical to
-    write_csvs(tables(traj)) of the finished run.
+    writer forms the rows whose columns are final with _columns, stores
+    their five derived columns (_DERIVED) in the log's last rows, and
+    writes them CSV_CHUNK_ROWS at a time, so its files are byte-identical
+    to write_csvs(tables(traj)) of the finished run.
 
-    wait() reaps the writer and says whether it wrote every file; a writer
-    that could not be forked, died or failed (a file it could not open, say)
-    leaves the files to the caller, who writes them as without a stream. As
-    a context manager, a stream reaps its writer on the way out: a writer
+    wait() reaps the writer and says, on this and every later call, whether
+    it wrote every file; run reaps it after its last flush and reads the
+    derived rows only then. A writer that could not be forked, died or
+    failed (a file it could not open, say) leaves the columns to run and
+    the files to the caller, who writes them as without a stream. As a
+    context manager, a stream reaps its writer on the way out: a writer
     whose log never ended (an error or an interrupt here) sees its pipe
     close and exits without finishing its files.
     """
@@ -260,6 +269,7 @@ class CsvStream:
         self.tables = tables
         self.pid = None  # the writer's, until it is reaped
         self.fd = None  # this end of the writer's pipe, until it is closed
+        self.written = False  # whether the reaped writer wrote every file
 
     def __enter__(self):
         return self
@@ -269,6 +279,7 @@ class CsvStream:
 
     def start(self, cfg, log) -> None:
         """Fork the writer over log, the shared log of a run of cfg."""
+        g15_tables()  # built once per process, not again in every writer
         rfd, wfd = os.pipe()
         try:
             pid = os.fork()
@@ -302,19 +313,20 @@ class CsvStream:
             self.fd = None
 
     def wait(self) -> bool:
-        """Reap the writer; whether it wrote every file."""
+        """Reap the writer, if it is not yet reaped; whether it wrote every
+        file (never for a writer that could not be forked)."""
         if self.fd is not None:  # the log never ended: the writer gives up
             os.close(self.fd)
             self.fd = None
-        if self.pid is None:
-            return False
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return status == 0
+        if self.pid is not None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            self.written = status == 0
+        return self.written
 
     def _serve(self, cfg, log, fd) -> None:
         """The writer's work: rows as their columns become final, the rest
-        once the final count is in.
+        once the final count is in, their derived columns stored in the log.
 
         A row's numeric V rate reads the next row, and its formula depends
         on whether every spacing of t in the whole log is equal (np.gradient's
@@ -339,7 +351,9 @@ class CsvStream:
                 ready = n if final else n - 1 if mixed else 0
                 while done < ready:
                     hi = min(done + CSV_CHUNK_ROWS, ready)
-                    _write_rows(files, self.tables(_columns(cfg, log, done, hi, n, not mixed)))
+                    traj = _columns(cfg, log, done, hi, n, not mixed)
+                    log[len(_RAW):, done:hi] = [getattr(traj, name) for name in _DERIVED]
+                    _write_rows(files, self.tables(traj))
                     done = hi
 
 
@@ -437,16 +451,17 @@ def _columns(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform=None,
              failure=None) -> Trajectory:
     """Rows lo:hi of the Trajectory of a log whose rows 0:n are filled.
 
-    log holds (e1, e2, u, x1, x2, p2_hat, theta1_hat) in its rows, one column
-    per sample. t comes from _times, z from unsquash, V from
-    monitor.lyapunov_fn and its analytic rate from monitor.vdot_analytic,
-    row by row. The numeric rate (_rate) reads a window of up to two rows
-    either side; uniform is as for _rate. Unless n is the whole log,
-    hi < n and n >= 3, so no row in lo:hi takes an end formula.
+    log holds (e1, e2, u, x1, x2, p2_hat, theta1_hat) in its first rows
+    (_RAW), one column per sample. t comes from _times, z from unsquash, V
+    from monitor.lyapunov_fn and its analytic rate from
+    monitor.vdot_analytic, row by row. The numeric rate (_rate) reads a
+    window of up to two rows either side; uniform is as for _rate. Unless n
+    is the whole log, hi < n and n >= 3, so no row in lo:hi takes an end
+    formula.
     """
     a, b = max(0, min(lo - 1, n - 3)), min(n, max(hi + 1, 3))
     t = _times(cfg, a, b)
-    e1, e2, u, x1, x2, p2h, th1h = log[:, a:b]
+    e1, e2, u, x1, x2, p2h, th1h = log[:len(_RAW), a:b]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
     zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
@@ -473,9 +488,13 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
     theta1_hat); s0 is the initial point in the stage's own coordinates. A
     step's one stage call is _rk4's first stage; a logged step keeps its
     tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
-    With a writer, the log is shared with the writer it forks, and every
-    flush sends it the rows filled. The columns come from _columns, so the
-    monitor can compare V's analytic and numeric rates.
+    The columns come from _columns, so the monitor can compare V's analytic
+    and numeric rates. With a writer, the log is shared with the writer it
+    forks and has five more rows, which the writer fills with the derived
+    columns; every flush sends it the rows filled. After the last flush the
+    writer is reaped, and if it wrote every file the Trajectory is views on
+    the shared log, with t from _times and in_safe_set from the box; else
+    _columns forms it here.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -483,8 +502,9 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
     try:
-        log = (np.empty((7, n_log)) if writer is None
-               else np.frombuffer(mmap.mmap(-1, 56 * n_log)).reshape(7, n_log))
+        log = (np.empty((len(_RAW), n_log)) if writer is None
+               else np.frombuffer(mmap.mmap(-1, 8 * len(_RAW + _DERIVED) * n_log)
+                                  ).reshape(-1, n_log))
     except (MemoryError, ValueError, OverflowError, OSError):
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
@@ -492,13 +512,14 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
     if writer is not None:
         writer.start(cfg, log)
     rk4 = _rk4(stage, cfg.plant, dt)
+    raw = log[:len(_RAW)]
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
 
     def flush(final=False):
         k = len(rows)
         block = np.frombuffer(struct.pack(f"{12 * k}d", *chain.from_iterable(rows))
                               ).reshape(k, 12)
-        log[:, j:j + k] = block[:, 5:].T
+        raw[:, j:j + k] = block[:, 5:].T
         rows.clear()
         if writer is not None:
             writer.send(j + k, final)
@@ -519,14 +540,20 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
             failure = StepRejected(i * dt, exc)
             break
     j = flush(final=True)
+    if writer is not None and writer.wait():
+        cols = dict(zip(_RAW + _DERIVED, log[:, :j]))
+        return Trajectory(t=_times(cfg, 0, j), **cols, failure=failure,
+                          in_safe_set=cfg.safe_set.contains(cols["x1"], cols["x2"]))
     return _columns(cfg, log, 0, j, j, failure=failure)
 
 
 def run(cfg: SimConfig, writer: Optional[CsvStream] = None) -> Trajectory:
     """Integrate the closed loop in x to t_final (or to the first failure).
 
-    A writer (a CsvStream) writes the run's CSV files while it integrates;
-    its caller reaps it with writer.wait().
+    A writer (a CsvStream) writes the run's CSV files while it integrates
+    and forms the derived columns the Trajectory reads. run reaps it, and
+    writer.wait() says whether it wrote every file; if not, the caller
+    writes them.
     """
     return _integrate(cfg, cfg._law, cfg.x0, writer)
 

@@ -5,8 +5,10 @@ that writes the three CSVs from the shared log while the loop runs. Every
 file, the exit code and stderr must equal the one-CPU run's, whatever the
 log's length, stride, spacing or abort; a writer that fails or cannot be
 forked leaves the files to this process; an error or an interrupt leaves no
-child behind. V's numeric rate, now formed by explicit formulas a block of
-rows at a time, must equal np.gradient of the whole log bit for bit.
+child behind. The writer also forms the derived columns into the shared
+log, and the run's Trajectory read from there must equal the one-process
+Trajectory bit for bit. V's numeric rate, now formed by explicit formulas a
+block of rows at a time, must equal np.gradient of the whole log bit for bit.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import safelift as sl
-from safelift import cli, simulator
+from safelift import _g15, cli, simulator
 from safelift.cli import main
 from safelift.errors import DomainViolation
 
@@ -170,14 +172,14 @@ def test_dead_writer_leaves_the_files_to_this_process(
     assert_no_child_left()
 
 
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
 def test_writer_that_cannot_fork_leaves_the_files_to_this_process(
         tmp_path, capsys, monkeypatch, parent_writes):
     cfg = write_cfg(tmp_path, BASE)
     one = run_at(tmp_path, capsys, monkeypatch, cfg, 1)
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_at(tmp_path, capsys, monkeypatch, cfg, 2) == one
     assert parent_writes == [1, 1]
@@ -220,6 +222,101 @@ def test_error_after_the_fork_leaves_no_child(tmp_path, monkeypatch, forks, erro
     with pytest.raises(type(error)):
         main(["run", cfg, "--out", str(tmp_path / "o")])
     assert forks == [1]
+    assert_no_child_left()
+
+
+def trajectory_bits(traj):
+    """Every column of traj by float.hex, its safe-set flags and its failure."""
+    floats = {f.name: hexes(getattr(traj, f.name)) for f in dataclasses.fields(traj)
+              if f.name not in ("in_safe_set", "failure")}
+    return floats, traj.in_safe_set.tolist(), repr(traj.failure), str(traj.failure)
+
+
+def column_calls(monkeypatch):
+    """The simulator._columns calls made by this process, not by a writer."""
+    calls, parent, real = [], os.getpid(), simulator._columns
+
+    def counted(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_columns", counted)
+    return calls
+
+
+def trace_stream(path):
+    return simulator.CsvStream(lambda traj: [traj.csv_table(path)])
+
+
+def sim_of(tmp_path, body):
+    return sl.load_config(write_cfg(tmp_path, body)).sim
+
+
+def integrate(sim, call, writer=None):
+    """run(sim, writer), its stage failing on call number `call` unless None."""
+    stage = sim._law if call is None else failing(sim._law, call)
+    return simulator._integrate(sim, stage, sim.x0, writer)
+
+
+@pytest.mark.parametrize("body, call", [m[1:3] for m in MATRIX if not m[0].endswith("-svg")],
+                         ids=[m[0] for m in MATRIX if not m[0].endswith("-svg")])
+def test_shared_trajectory_equals_one_process(tmp_path, monkeypatch, body, call):
+    # The writer forms the derived columns; this process forms none of them.
+    sim = sim_of(tmp_path, body)
+    one = integrate(sim, call)
+    one.to_csv(tmp_path / "one.csv")
+    calls = column_calls(monkeypatch)
+    with trace_stream(tmp_path / "trace.csv") as stream:
+        shared = integrate(sim, call, stream)
+        assert stream.wait() and stream.wait()
+    assert calls == []
+    assert trajectory_bits(shared) == trajectory_bits(one)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_no_child_left()
+
+
+def test_dead_writer_leaves_the_columns_to_this_process(tmp_path, monkeypatch):
+    # The writer exits with status 5 before its second block of rows; the
+    # derived rows it left behind are not read.
+    sim = sim_of(tmp_path, BASE)
+    one = integrate(sim, None)
+    parent, real, blocks = os.getpid(), simulator._write_rows, []
+
+    def dying(*args):
+        if os.getpid() != parent and blocks:
+            os._exit(5)
+        blocks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_write_rows", dying)
+    calls = column_calls(monkeypatch)
+    with trace_stream(tmp_path / "trace.csv") as stream:
+        shared = integrate(sim, None, stream)
+        assert not stream.wait()
+    assert calls == [1]  # the whole log, once
+    assert trajectory_bits(shared) == trajectory_bits(one)
+    assert_no_child_left()
+
+
+def test_format_tables_are_built_before_the_fork(tmp_path):
+    _g15.tables.cache_clear()
+    with trace_stream(tmp_path / "trace.csv") as stream:
+        integrate(sim_of(tmp_path, BASE), None, stream)
+    assert _g15.tables.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("writer, want", [("good", True), ("exits", False), ("no-fork", False)])
+def test_wait_reports_the_writer_outcome_on_every_call(tmp_path, monkeypatch, writer, want):
+    # run reaps the writer; each later wait() gives the same outcome.
+    if writer == "exits":
+        monkeypatch.setattr(simulator.CsvStream, "_serve", lambda *args: os._exit(5))
+    elif writer == "no-fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    with trace_stream(tmp_path / "trace.csv") as stream:
+        simulator.run(sim_of(tmp_path, BASE), stream)
+        assert [stream.wait(), stream.wait()] == [want, want]
+    assert stream.wait() == want
     assert_no_child_left()
 
 
