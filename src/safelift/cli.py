@@ -25,17 +25,21 @@ the writer could not start or failed, this process writes the CSVs after
 the loop, so the files, exit code and stderr are those of a one-process run.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
 past per-row failures. Its rows are cut into consecutive shares over
-min(rows, usable CPUs) processes, this one first, then forked children,
-and sweep.csv is byte-identical to a one-process sweep. This process runs
+min(rows, usable CPUs) processes, this one first, then children forked as
+run's writer is (simulator.fork_child), each pickling its row texts to a
+pipe; sweep.csv is byte-identical to a one-process sweep. This process runs
 its own share, then each child's undelivered rows, in row order, so errors,
 exit codes and stderr are the one-process sweep's, and a failing sweep
-stops at its first failing row without waiting for the children.
+stops at its first failing row without waiting for the children. A child
+that dies or cannot be forked leaves its rows to this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -47,7 +51,7 @@ from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify, estimate_targets
 from .plant import check_assumptions
-from .simulator import CsvStream, run as run_sim, write_csvs
+from .simulator import CsvStream, fork_child, run as run_sim, write_csvs
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -194,17 +198,18 @@ def _sweep_row(ec, i, label, sim) -> str:
             f"{cert.sup_p2_hat:.15g},{cert.sup_theta1_hat:.15g},{detail}")
 
 
-def _send_share(ec, share, conn) -> None:
-    """A forked child's work: send {index: row text} of its share, a list of
-    (index, label, sim), run in order up to its first row that raises."""
+def _send_share(ec, share, fd) -> None:
+    """A forked child's work: write to fd, pickled, {index: row text} of
+    its share, a list of (index, label, sim), run in order up to its first
+    row that raises."""
     rows = {}
     for i, label, sim in share:
         try:
             rows[i] = _sweep_row(ec, i, label, sim)
         except Exception:  # the parent runs this row again and raises
             break
-    conn.send(rows)
-    conn.close()
+    with open(fd, "wb") as fh:
+        pickle.dump(rows, fh)
 
 
 def _run_rows(ec, jobs) -> dict:
@@ -212,43 +217,41 @@ def _run_rows(ec, jobs) -> dict:
     or the first row error in row order.
 
     The jobs are cut into consecutive shares, one per process, the first
-    and longest the parent's. Each forked child inherits the configs
-    (which hold closures, so they cannot be pickled) and sends back the row
-    texts of its share up to its first error. The parent runs one loop in
-    row order: its own share, then each child's undelivered rows. So the
-    first row that raises is the sweep's first error, raised from its only
-    run here, and an error or interrupt stops the children at once.
+    and longest the parent's. Each child, forked as run's CSV writer is
+    (simulator.fork_child), inherits the configs (which hold closures, so
+    they cannot be pickled) and pickles the row texts of its share up to
+    its first error to a pipe, which the parent reads to its end. The
+    parent runs one loop in row order: its own share, then each child's
+    undelivered rows, all of them for a child that died or could not be
+    forked (an empty or cut-short read). So the first row that raises is
+    the sweep's first error, raised from its only run here, and an error
+    or interrupt stops the children at once (SIGTERM); every child is
+    reaped either way.
     """
     n = max(1, min(len(jobs), _usable_cpus()))  # at most one process per row
     cuts = [-(-w * len(jobs) // n) for w in range(n + 1)]
     shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
-    children, rows = [], {}
-    if n > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        sys.stdout.flush()  # else a child flushes the parent's buffered text again
-        sys.stderr.flush()
+    children, rows = [], {}  # children: (pid or None, the read end)
     try:
         for share in shares[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_share, args=(ec, share, send))
-            proc.start()
-            send.close()
-            children.append((proc, recv))
+            rfd, wfd = os.pipe()
+            pid = fork_child(lambda: _send_share(ec, share, wfd), rfd)
+            os.close(wfd)
+            children.append((pid, open(rfd, "rb")))
         for w, share in enumerate(shares):
             if w:  # child w's share: take what it sent, none if it died
-                with suppress(EOFError):
-                    rows.update(children[w - 1][1].recv())
+                with suppress(EOFError, pickle.UnpicklingError):
+                    rows.update(pickle.loads(children[w - 1][1].read()))
             for i, label, sim in share:
                 if i not in rows:
                     rows[i] = _sweep_row(ec, i, label, sim)
     finally:
-        for proc, recv in children:
-            if len(rows) < len(jobs):  # an error or an interrupt: stop them
-                proc.terminate()
-            proc.join()
+        for pid, recv in children:
             recv.close()
+            if pid is not None:
+                if len(rows) < len(jobs):  # an error or an interrupt: stop them
+                    os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
     return rows
 
 

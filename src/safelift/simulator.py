@@ -243,6 +243,30 @@ def write_csvs(tables) -> None:
             _write_rows(files, tables, lo, lo + CSV_CHUNK_ROWS)
 
 
+def fork_child(work, fd: int) -> Optional[int]:
+    """Run work() in a forked child: its pid, or None if os.fork failed.
+
+    fd, this process's end of a pipe to the child, is closed in the child
+    first, so the pipe ends for the child once this process closes fd or
+    dies. The child exits by os._exit, status 0 if work() returned and 1 if
+    it raised: it never returns into the caller, flushes the stdio buffers
+    it inherited or prints a traceback.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(fd)
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 class CsvStream:
     """A forked writer of a run's CSV files, fed from its log as it fills.
 
@@ -281,20 +305,9 @@ class CsvStream:
         """Fork the writer over log, the shared log of a run of cfg."""
         g15_tables()  # built once per process, not again in every writer
         rfd, wfd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no writer: the caller writes the files
-            pid = None
-        if pid == 0:
-            status = 1
-            try:
-                os.close(wfd)
-                self._serve(cfg, log, rfd)
-                status = 0
-            finally:
-                os._exit(status)
+        pid = fork_child(lambda: self._serve(cfg, log, rfd), wfd)
         os.close(rfd)
-        if pid is None:
+        if pid is None:  # no writer: the caller writes the files
             os.close(wfd)
         else:
             self.pid, self.fd = pid, wfd

@@ -2,7 +2,6 @@
 
 import csv
 import importlib
-import multiprocessing
 import os
 import re
 import subprocess
@@ -136,6 +135,20 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # none to reap, alive or dead
+        os.waitpid(-1, os.WNOHANG)
+
+
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def open_fds():
+    """This process's open file descriptors (Linux)."""
+    return set(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.parametrize("t_final", ["1e12", "1e300"])
 def test_unloggable_horizon_in_every_share_is_one_config_error(
         tmp_path, capsys, monkeypatch, t_final):
@@ -151,7 +164,7 @@ def test_unloggable_horizon_in_every_share_is_one_config_error(
     for fragment in (f"t_final={float(t_final)}", "dt=0.001", "log_stride=1", "samples"):
         assert fragment in err[0]
     assert not (tmp_path / "o" / "sweep.csv").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 class TestRunCommand:
@@ -482,7 +495,7 @@ class TestSweepCommand:
         row = cli._sweep_row
         monkeypatch.setattr(cli, "_sweep_row",
                             lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
-        csv_bytes = {}
+        csv_bytes, fds = {}, open_fds()
         for n in (1, cpus):
             use_cpus(monkeypatch, n)
             run_here.clear()
@@ -495,7 +508,8 @@ class TestSweepCommand:
         rows = [r.split(",") for r in csv_bytes[1].decode().splitlines()[1:]]
         assert [r[0] for r in rows] == [str(i) for i in range(8)]
         assert [r[2] for r in rows] == self.MIXED_STATUS
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_error_in_row_order_wins(self, tmp_path, capsys, monkeypatch, cpus):
@@ -514,7 +528,7 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "configuration error: row 1 refused\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_runtime_error_in_a_child_exits_3(self, tmp_path, capsys, monkeypatch):
         real = cli.run_sim
@@ -527,9 +541,11 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_sim", singular)
         use_cpus(monkeypatch, 2)
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
+        fds = open_fds()
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == "error: virtual gain 0.0 at x1=0.0\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_other_error_in_a_child_is_raised_as_is(self, tmp_path, monkeypatch, cpus):
@@ -545,7 +561,7 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0\n")
         with pytest.raises(ZeroDivisionError, match=r"^a defect$"):
             main(["sweep", cfg, "--out", str(tmp_path / "o")])
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_child_that_dies_costs_time_not_the_sweep(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
@@ -555,14 +571,16 @@ class TestSweepCommand:
         row = cli._sweep_row
         monkeypatch.setattr(cli, "_sweep_row",
                             lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
-        monkeypatch.setattr(cli, "_send_share", lambda ec, share, conn: os._exit(5))
+        monkeypatch.setattr(cli, "_send_share", lambda ec, share, fd: os._exit(5))
         use_cpus(monkeypatch, 2)
+        fds = open_fds()
         assert main(["sweep", cfg, "--out", str(tmp_path / "2")]) == 0
         # Share 0, then the dead child's row 2, here.
         assert run_here == [0, 1, 2]
         assert ((tmp_path / "2" / "sweep.csv").read_bytes()
                 == (tmp_path / "1" / "sweep.csv").read_bytes())
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_only_the_first_failing_row_runs_again(self, tmp_path, capsys, monkeypatch, cpus):
@@ -587,7 +605,7 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "configuration error: row 1 refused\n"
         assert calls == [1.0, 2.0]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("error", [sl.ConfigError("row 1 refused"), KeyboardInterrupt()],
                              ids=["config-error", "interrupt"])
@@ -607,6 +625,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_sim", failing)
         use_cpus(monkeypatch, 2)
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")
+        fds = open_fds()
         start = time.monotonic()
         if isinstance(error, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
@@ -614,7 +633,45 @@ class TestSweepCommand:
         else:
             assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
         assert time.monotonic() - start < 20
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sweep_that_cannot_fork_runs_every_row_here(self, tmp_path, monkeypatch, cpus):
+        # Each failed fork leaves its share to this process, as a dead
+        # child's would.
+        cfg = write_cfg(tmp_path, self.MIXED)
+        use_cpus(monkeypatch, 1)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "1")]) == 0
+        run_here = []
+        row = cli._sweep_row
+        monkeypatch.setattr(cli, "_sweep_row",
+                            lambda ec, i, *rest: run_here.append(i) or row(ec, i, *rest))
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, cpus)
+        fds = open_fds()
+        assert main(["sweep", cfg, "--out", str(tmp_path / "n")]) == 0
+        assert run_here == [0, 2, 3, 4, 6, 7]
+        assert ((tmp_path / "n" / "sweep.csv").read_bytes()
+                == (tmp_path / "1" / "sweep.csv").read_bytes())
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_forked_sweep_loads_no_multiprocessing(self, tmp_path):
+        # In a fresh interpreter, so that no other test's import counts.
+        script = textwrap.dedent(f"""
+            import os, sys
+            os.sched_getaffinity = lambda pid: set(range(2))
+            fork, forks = os.fork, []
+            os.fork = lambda: forks.append(1) or fork()
+            from safelift.cli import main
+            code = main(["sweep", {SWEEP!r}, "--out", {str(tmp_path)!r}])
+            print(code, len(forks), "multiprocessing" in sys.modules)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                              capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "0 1 False")
 
     def test_no_cpu_mask_runs_one_process(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\nk1 = 1.0, 2.0, 3.0\n")

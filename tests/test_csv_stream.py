@@ -24,14 +24,10 @@ from safelift import _g15, cli, simulator
 from safelift.cli import main
 from safelift.errors import DomainViolation
 
-from test_cli import BASE, CERTIFIED, FIG2, REPO, use_cpus, write_cfg
+from test_cli import (BASE, CERTIFIED, FIG2, REPO, assert_no_child_left, no_fork, use_cpus,
+                      write_cfg)
 from test_law_reference import hexes
 from test_log_buffer import _stages, failing
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):  # none to reap, alive or dead
-        os.waitpid(-1, os.WNOHANG)
 
 
 def run_at(tmp_path, capsys, monkeypatch, cfg, cpus, flags=()):
@@ -170,10 +166,6 @@ def test_dead_writer_leaves_the_files_to_this_process(
     assert parent_writes == [1, 1]
     assert two == one and one[0] == 0
     assert_no_child_left()
-
-
-def no_fork():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
 def test_writer_that_cannot_fork_leaves_the_files_to_this_process(
