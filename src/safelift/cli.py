@@ -17,12 +17,13 @@ estimation errors against theta1/x2_max and 1/theta2, plain and log10)
 into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
-With more than one usable CPU, a forked writer (simulator.CsvStream) writes
-the three CSVs and forms the derived columns while this process integrates;
-run reaps it and reads the trajectory from their shared log, then this
-process certifies and writes cert.txt and the SVGs. With one CPU, or when
-the writer could not start or failed, this process writes the CSVs after
-the loop, so the files, exit code and stderr are those of a one-process run.
+The three CSVs are written by the simulation, simulator.run(cfg, tables):
+with more than one usable CPU, a writer it forks writes them and forms the
+derived columns while this process integrates, and run reaps it and reads
+the trajectory from their shared log; with one CPU, or when the writer
+could not start or failed, run writes them after the loop, so the files,
+exit code and stderr are those of a one-process run. This process then
+certifies and writes cert.txt and the SVGs.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
 past per-row failures. Its rows are cut into consecutive shares over
 min(rows, usable CPUs) processes, this one first, then children forked as
@@ -51,7 +52,7 @@ from .config import apply_overrides, load_config, sweep_rows
 from .errors import ConfigError, SafeliftError
 from .monitor import certify, estimate_targets
 from .plant import check_assumptions
-from .simulator import CsvStream, fork_child, run as run_sim, write_csvs
+from .simulator import fork_child, run as run_sim, usable_cpus
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -132,13 +133,6 @@ def _out_dir(args, ec) -> Path:
     return out_dir
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on. One where there is no CPU mask to
-    read (macOS, Windows), which also keeps platforms without fork on the
-    one-process path of `run` and `sweep`."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _cmd_run(args) -> int:
     ec = load_config(args.config)
     out_dir = _out_dir(args, ec)
@@ -152,13 +146,9 @@ def _cmd_run(args) -> int:
                 (out_dir / "estimation_errors.csv", _ERRORS_HEADER,
                  (traj.t, *_estimation_errors(traj, sim.plant, sim.safe_set)))]
 
-    with CsvStream(tables) as stream:
-        traj = run_sim(sim, stream if _usable_cpus() > 1 else None)
+    with _writing(out_dir):  # run_sim writes the three CSVs
+        traj = run_sim(sim, tables)
         cert = certify(traj, sim, ec.thresholds)
-        written = stream.wait()
-    with _writing(out_dir):
-        if not written:
-            write_csvs(tables(traj))
         (out_dir / "cert.txt").write_text(cert.to_report())
         if args.svg and len(traj):
             _render_svg(out_dir / "states_input.svg", "states and control input",
@@ -228,15 +218,13 @@ def _run_rows(ec, jobs) -> dict:
     or interrupt stops the children at once (SIGTERM); every child is
     reaped either way.
     """
-    n = max(1, min(len(jobs), _usable_cpus()))  # at most one process per row
+    n = max(1, min(len(jobs), usable_cpus()))  # at most one process per row
     cuts = [-(-w * len(jobs) // n) for w in range(n + 1)]
     shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
     children, rows = [], {}  # children: (pid or None, the read end)
     try:
         for share in shares[1:]:
-            rfd, wfd = os.pipe()
-            pid = fork_child(lambda: _send_share(ec, share, wfd), rfd)
-            os.close(wfd)
+            pid, rfd = fork_child(lambda fd: _send_share(ec, share, fd), to_child=False)
             children.append((pid, open(rfd, "rb")))
         for w, share in enumerate(shares):
             if w:  # child w's share: take what it sent, none if it died

@@ -29,11 +29,12 @@ three-point formulas over the row and its neighbours (_rate).
 write_csvs writes several CSV tables in one chunked pass: per chunk, one
 vectorised "%.15g" call (_g15) formats each distinct column array once,
 every table gathers its cells from that block, and Trajectory.to_csv is the
-one-table case. A CsvStream writes the same files from a forked process
-while the loop runs: run hands it a log held in shared memory, and after
-each flush the writer forms the rows whose columns are final, stores their
-derived columns in the log and formats them. A run whose writer wrote
-every file reads its Trajectory from that log, so no column is formed twice.
+one-table case. run(cfg, tables) writes a run's files too: with more than
+one usable CPU, from a writer it forks over a log held in shared memory
+(_serve), which after each flush forms the rows whose columns are final,
+stores their derived columns in the log and formats them. A run whose
+writer wrote every file reads its Trajectory from that log, so no column is
+formed twice; otherwise run forms the columns and writes the files itself.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import mmap
 import operator
 import os
 import struct
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -63,12 +64,12 @@ from .plant import LiftedDynamics, PlantDef, require_truth
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 # Stage tuples _integrate holds (0.4 kB each) before one struct.pack logs them:
 # 0.27-0.28 µs a row, against 0.42 µs for np.fromiter and 1.4-1.7 µs for a
-# column store (256 fig2 law tuples, 2-CPU shared host). A CsvStream hears
-# of new rows only at a flush, so it runs up to this many rows (plus the one
-# whose rate waits for its successor) behind the loop.
+# column store (256 fig2 law tuples, 2-CPU shared host). A forked writer
+# hears of new rows only at a flush, so it runs up to this many rows (plus
+# the one whose rate waits for its successor) behind the loop.
 LOG_FLUSH_ROWS = 256
 # The Trajectory columns of the log's rows: the seven the loop fills, then,
-# in the shared log of a run with a CsvStream, the five its writer forms.
+# in the shared log of a run with a forked writer, the five the writer forms.
 _RAW = ("e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
 _DERIVED = ("z1", "z2", "v", "vdot_analytic", "vdot_numeric")
 
@@ -195,8 +196,8 @@ class Trajectory:
 # `safelift run` on the fig2 and certified configs, 256 rows peaked at
 # 41.5 MB, as the replaced %-format writer did; 512 rows took 42.8 MB and
 # 1024 rows 44.8 MB for up to 5% less time, 128 rows 41.0 MB but 7% more.
-# A CsvStream forms and writes the rows that are ready at most this many at
-# a time, so it also bounds the writer's own blocks.
+# A forked writer forms and writes the rows that are ready at most this many
+# at a time, so it also bounds the writer's own blocks.
 CSV_CHUNK_ROWS = 256
 
 
@@ -243,131 +244,74 @@ def write_csvs(tables) -> None:
             _write_rows(files, tables, lo, lo + CSV_CHUNK_ROWS)
 
 
-def fork_child(work, fd: int) -> Optional[int]:
-    """Run work() in a forked child: its pid, or None if os.fork failed.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: above one, run forks its CSV writer
+    and sweep its children. One where there is no CPU mask to read (macOS,
+    Windows), which also keeps platforms without fork on the one-process path."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    fd, this process's end of a pipe to the child, is closed in the child
-    first, so the pipe ends for the child once this process closes fd or
-    dies. The child exits by os._exit, status 0 if work() returned and 1 if
-    it raised: it never returns into the caller, flushes the stdio buffers
-    it inherited or prints a traceback.
+
+def fork_child(work, to_child: bool) -> tuple[Optional[int], int]:
+    """Run work(fd) in a forked child, fd its end of a new pipe that runs to
+    the child if to_child, else from it: (its pid, or None if os.fork failed;
+    this process's end).
+
+    Each process closes the other's end, so the pipe ends for the child once
+    this process closes its end or dies, and for this process once the child
+    exits; a child that could not be forked is one that is gone already. The
+    child exits by os._exit, status 0 if work() returned and 1 if it raised:
+    it never returns into the caller, flushes the stdio buffers it inherited
+    or prints a traceback.
     """
+    rfd, wfd = os.pipe()
+    mine, theirs = (wfd, rfd) if to_child else (rfd, wfd)
     try:
         pid = os.fork()
     except OSError:
-        return None
+        pid = None
     if pid == 0:
         status = 1
         try:
-            os.close(fd)
-            work()
+            os.close(mine)
+            work(theirs)
             status = 0
         finally:
             os._exit(status)
-    return pid
+    os.close(theirs)
+    return pid, mine
 
 
-class CsvStream:
-    """A forked writer of a run's CSV files, fed from its log as it fills.
+def _serve(cfg, log, tables, fd) -> None:
+    """A forked CSV writer's work: rows as their columns become final, the
+    rest once the final count is in, their derived columns stored in the log.
 
-    tables(traj) gives write_csvs' (path, header, cols) tables of a
-    Trajectory, which may be a block of a run's rows. run(cfg, stream) holds
-    the log in one shared anonymous mmap, forks the writer over it, and
-    sends it only a row count after each flush, then the final count. The
-    writer forms the rows whose columns are final with _columns, stores
-    their five derived columns (_DERIVED) in the log's last rows, and
-    writes them CSV_CHUNK_ROWS at a time, so its files are byte-identical
-    to write_csvs(tables(traj)) of the finished run.
-
-    wait() reaps the writer and says, on this and every later call, whether
-    it wrote every file; run reaps it after its last flush and reads the
-    derived rows only then. A writer that could not be forked, died or
-    failed (a file it could not open, say) leaves the columns to run and
-    the files to the caller, who writes them as without a stream. As a
-    context manager, a stream reaps its writer on the way out: a writer
-    whose log never ended (an error or an interrupt here) sees its pipe
-    close and exits without finishing its files.
+    A row's numeric V rate reads the next row, and its formula depends
+    on whether every spacing of t in the whole log is equal (np.gradient's
+    uniform branch). So before the final count, only the rows before the
+    last filled one are written, and only once two spacings differ.
     """
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.pid = None  # the writer's, until it is reaped
-        self.fd = None  # this end of the writer's pipe, until it is closed
-        self.written = False  # whether the reaped writer wrote every file
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.wait()
-
-    def start(self, cfg, log) -> None:
-        """Fork the writer over log, the shared log of a run of cfg."""
-        g15_tables()  # built once per process, not again in every writer
-        rfd, wfd = os.pipe()
-        pid = fork_child(lambda: self._serve(cfg, log, rfd), wfd)
-        os.close(rfd)
-        if pid is None:  # no writer: the caller writes the files
-            os.close(wfd)
-        else:
-            self.pid, self.fd = pid, wfd
-
-    def send(self, n: int, final: bool = False) -> None:
-        """Tell the writer that log rows 0:n are filled, and whether the log
-        ends there. A writer that is gone is told nothing more."""
-        if self.fd is None:
-            return
-        try:
-            os.write(self.fd, struct.pack("q", ~n if final else n))
-        except BrokenPipeError:
-            final = True
-        if final:
-            os.close(self.fd)
-            self.fd = None
-
-    def wait(self) -> bool:
-        """Reap the writer, if it is not yet reaped; whether it wrote every
-        file (never for a writer that could not be forked)."""
-        if self.fd is not None:  # the log never ended: the writer gives up
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            self.written = status == 0
-        return self.written
-
-    def _serve(self, cfg, log, fd) -> None:
-        """The writer's work: rows as their columns become final, the rest
-        once the final count is in, their derived columns stored in the log.
-
-        A row's numeric V rate reads the next row, and its formula depends
-        on whether every spacing of t in the whole log is equal (np.gradient's
-        uniform branch). So before the final count, only the rows before the
-        last filled one are written, and only once two spacings differ.
-        """
-        with ExitStack() as stack:
-            files = _open_csvs(stack, self.tables(_columns(cfg, log, 0, 0, 0)))  # no rows yet
-            h = _times(cfg, 0, 2)[-1]  # the first spacing (t starts at 0)
-            done = n = 0
-            mixed = final = False
-            while not final:
-                data = os.read(fd, 4096)  # whole counts: each is one 8-byte write
-                if not data:
-                    raise EOFError("the run ended without a final count")
-                count = struct.unpack(f"{len(data) // 8}q", data)[-1]
-                final = count < 0
-                filled = ~count if final else count
-                if not mixed and filled > 2:
-                    mixed = bool((np.diff(_times(cfg, max(n - 1, 0), filled)) != h).any())
-                n = filled
-                ready = n if final else n - 1 if mixed else 0
-                while done < ready:
-                    hi = min(done + CSV_CHUNK_ROWS, ready)
-                    traj = _columns(cfg, log, done, hi, n, not mixed)
-                    log[len(_RAW):, done:hi] = [getattr(traj, name) for name in _DERIVED]
-                    _write_rows(files, self.tables(traj))
-                    done = hi
+    with ExitStack() as stack:
+        files = _open_csvs(stack, tables(_columns(cfg, log, 0, 0, 0)))  # no rows yet
+        h = _times(cfg, 0, 2)[-1]  # the first spacing (t starts at 0)
+        done = n = 0
+        mixed = final = False
+        while not final:
+            data = os.read(fd, 4096)  # whole counts: each is one 8-byte write
+            if not data:
+                raise EOFError("the run ended without a final count")
+            count = struct.unpack(f"{len(data) // 8}q", data)[-1]
+            final = count < 0
+            filled = ~count if final else count
+            if not mixed and filled > 2:
+                mixed = bool((np.diff(_times(cfg, max(n - 1, 0), filled)) != h).any())
+            n = filled
+            ready = n if final else n - 1 if mixed else 0
+            while done < ready:
+                hi = min(done + CSV_CHUNK_ROWS, ready)
+                traj = _columns(cfg, log, done, hi, n, not mixed)
+                log[len(_RAW):, done:hi] = [getattr(traj, name) for name in _DERIVED]
+                _write_rows(files, tables(traj))
+                done = hi
 
 
 def _rk4(stage, plant, dt):
@@ -493,7 +437,7 @@ def _columns(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform=None,
         failure=failure)
 
 
-def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) -> Trajectory:
+def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
     """The closed loop from (s0, est0) to t_final, or to the first failure.
 
     stage is an RK4 stage in regressor form whose output ends with the
@@ -502,28 +446,35 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
     step's one stage call is _rk4's first stage; a logged step keeps its
     tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
     The columns come from _columns, so the monitor can compare V's analytic
-    and numeric rates. With a writer, the log is shared with the writer it
-    forks and has five more rows, which the writer fills with the derived
-    columns; every flush sends it the rows filled. After the last flush the
-    writer is reaped, and if it wrote every file the Trajectory is views on
-    the shared log, with t from _times and in_safe_set from the box; else
-    _columns forms it here.
+    and numeric rates.
+
+    With tables and more than one usable CPU, the log is shared with a
+    forked CSV writer (_serve) and has five more rows, which the writer
+    fills with the derived columns; every flush sends it the rows filled,
+    and a broken pipe means it is gone. On every way out the pipe is closed
+    and the writer reaped, so one whose log never ended (an error or an
+    interrupt here) exits without finishing its files. If it wrote every
+    file, the Trajectory is views on the shared log, with t from _times and
+    in_safe_set from the box; else _columns forms it here and
+    write_csvs(tables(traj)) writes the files.
     """
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
+    shared = tables is not None and usable_cpus() > 1
     try:
-        log = (np.empty((len(_RAW), n_log)) if writer is None
-               else np.frombuffer(mmap.mmap(-1, 8 * len(_RAW + _DERIVED) * n_log)
-                                  ).reshape(-1, n_log))
+        log = (np.frombuffer(mmap.mmap(-1, 8 * len(_RAW + _DERIVED) * n_log)).reshape(-1, n_log)
+               if shared else np.empty((len(_RAW), n_log)))
     except (MemoryError, ValueError, OverflowError, OSError):
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
-    if writer is not None:
-        writer.start(cfg, log)
+    pid = fd = None  # the writer's, and this end of its pipe
+    if shared:
+        g15_tables()  # built once per process, not again in every writer
+        pid, fd = fork_child(lambda rfd: _serve(cfg, log, tables, rfd), to_child=True)
     rk4 = _rk4(stage, cfg.plant, dt)
     raw = log[:len(_RAW)]
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
@@ -534,41 +485,51 @@ def _integrate(cfg: SimConfig, stage, s0, writer: Optional[CsvStream] = None) ->
                               ).reshape(k, 12)
         raw[:, j:j + k] = block[:, 5:].T
         rows.clear()
-        if writer is not None:
-            writer.send(j + k, final)
+        if fd is not None:
+            with suppress(BrokenPipeError):  # a writer that is gone hears nothing
+                os.write(fd, struct.pack("q", ~(j + k) if final else j + k))
         return j + k
 
     (s1, s2), p2h, th1h = s0, cfg.est0.p2_hat, cfg.est0.theta1_hat
     failure = None
-    for i in range(n + 1):
-        try:
-            out = stage(s1, s2, p2h, th1h)
-            if i % stride == 0 or i == n:
-                rows.append(out)
-                if len(rows) == LOG_FLUSH_ROWS:
-                    j = flush()
-            if i < n:
-                s1, s2, p2h, th1h = rk4(s1, s2, p2h, th1h, out)
-        except _STAGE_ERRORS as exc:
-            failure = StepRejected(i * dt, exc)
-            break
-    j = flush(final=True)
-    if writer is not None and writer.wait():
+    try:
+        for i in range(n + 1):
+            try:
+                out = stage(s1, s2, p2h, th1h)
+                if i % stride == 0 or i == n:
+                    rows.append(out)
+                    if len(rows) == LOG_FLUSH_ROWS:
+                        j = flush()
+                if i < n:
+                    s1, s2, p2h, th1h = rk4(s1, s2, p2h, th1h, out)
+            except _STAGE_ERRORS as exc:
+                failure = StepRejected(i * dt, exc)
+                break
+        j = flush(final=True)
+    finally:
+        if fd is not None:
+            os.close(fd)
+        written = pid is not None and os.waitpid(pid, 0)[1] == 0
+    if written:
         cols = dict(zip(_RAW + _DERIVED, log[:, :j]))
         return Trajectory(t=_times(cfg, 0, j), **cols, failure=failure,
                           in_safe_set=cfg.safe_set.contains(cols["x1"], cols["x2"]))
-    return _columns(cfg, log, 0, j, j, failure=failure)
+    traj = _columns(cfg, log, 0, j, j, failure=failure)
+    if tables is not None:
+        write_csvs(tables(traj))
+    return traj
 
 
-def run(cfg: SimConfig, writer: Optional[CsvStream] = None) -> Trajectory:
+def run(cfg: SimConfig, tables=None) -> Trajectory:
     """Integrate the closed loop in x to t_final (or to the first failure).
 
-    A writer (a CsvStream) writes the run's CSV files while it integrates
-    and forms the derived columns the Trajectory reads. run reaps it, and
-    writer.wait() says whether it wrote every file; if not, the caller
-    writes them.
+    With tables, a function that gives write_csvs' (path, header, cols)
+    tables of a Trajectory or of a block of its rows, run also writes those
+    files: from a forked writer while it integrates, at more than one usable
+    CPU, else (or if the writer could not start or failed) after the loop.
+    The files are byte-identical either way.
     """
-    return _integrate(cfg, cfg._law, cfg.x0, writer)
+    return _integrate(cfg, cfg._law, cfg.x0, tables)
 
 
 def run_lifted(cfg: SimConfig) -> Trajectory:

@@ -105,7 +105,7 @@ def test_overflowed_v_prints_only_the_abort_lines(tmp_path):
 
 
 def test_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
-    def singular(sim, writer=None):
+    def singular(sim, tables=None):
         raise SingularityDetected("virtual gain 0.0 at x1=0.0")
 
     monkeypatch.setattr(cli, "run_sim", singular)

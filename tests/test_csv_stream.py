@@ -1,14 +1,15 @@
 """`safelift run`'s forked CSV writer against the one-process run.
 
-With more than one usable CPU, `run` forks a writer (simulator.CsvStream)
+With more than one usable CPU, `simulator.run(cfg, tables)` forks a writer
 that writes the three CSVs from the shared log while the loop runs. Every
 file, the exit code and stderr must equal the one-CPU run's, whatever the
 log's length, stride, spacing or abort; a writer that fails or cannot be
-forked leaves the files to this process; an error or an interrupt leaves no
-child behind. The writer also forms the derived columns into the shared
-log, and the run's Trajectory read from there must equal the one-process
-Trajectory bit for bit. V's numeric rate, now formed by explicit formulas a
-block of rows at a time, must equal np.gradient of the whole log bit for bit.
+forked leaves the files to run, which writes them once in this process; an
+error or an interrupt leaves no child and no open descriptor behind. The
+writer also forms the derived columns into the shared log, and the run's
+Trajectory read from there must equal the one-process Trajectory bit for
+bit. V's numeric rate, now formed by explicit formulas a block of rows at
+a time, must equal np.gradient of the whole log bit for bit.
 """
 
 import dataclasses
@@ -24,8 +25,8 @@ from safelift import _g15, cli, simulator
 from safelift.cli import main
 from safelift.errors import DomainViolation
 
-from test_cli import (BASE, CERTIFIED, FIG2, REPO, assert_no_child_left, no_fork, use_cpus,
-                      write_cfg)
+from test_cli import (BASE, CERTIFIED, FIG2, REPO, assert_no_child_left, no_fork, open_fds,
+                      use_cpus, write_cfg)
 from test_law_reference import hexes
 from test_log_buffer import _stages, failing
 
@@ -44,15 +45,15 @@ def run_at(tmp_path, capsys, monkeypatch, cfg, cpus, flags=()):
 def parent_writes(monkeypatch):
     """How many times this process wrote the CSVs itself."""
     calls = []
-    real = cli.write_csvs
-    monkeypatch.setattr(cli, "write_csvs", lambda tables: calls.append(1) or real(tables))
+    real = simulator.write_csvs
+    monkeypatch.setattr(simulator, "write_csvs", lambda tables: calls.append(1) or real(tables))
     return calls
 
 
 def before_stage_call(monkeypatch, call, action):
     """Make `run` call action() before its stage call number `call` (from
     0); a step makes four stage calls, and a logged step logs its first."""
-    def run_sim(sim, writer=None):
+    def run_sim(sim, tables=None):
         law, count = sim._law, itertools.count()
 
         def stage(*s):
@@ -60,7 +61,7 @@ def before_stage_call(monkeypatch, call, action):
                 action()
             return law(*s)
 
-        return simulator._integrate(sim, stage, sim.x0, writer)
+        return simulator._integrate(sim, stage, sim.x0, tables)
 
     monkeypatch.setattr(cli, "run_sim", run_sim)
 
@@ -162,10 +163,12 @@ def test_dead_writer_leaves_the_files_to_this_process(
 
     monkeypatch.setattr(simulator, name, dying)
     before_stage_call(monkeypatch, 4 * (ROWS - 1), lambda: time.sleep(0.5))
+    fds = open_fds()
     two = run_at(tmp_path, capsys, monkeypatch, cfg, 2)
     assert parent_writes == [1, 1]
     assert two == one and one[0] == 0
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 def test_writer_that_cannot_fork_leaves_the_files_to_this_process(
@@ -173,8 +176,10 @@ def test_writer_that_cannot_fork_leaves_the_files_to_this_process(
     cfg = write_cfg(tmp_path, BASE)
     one = run_at(tmp_path, capsys, monkeypatch, cfg, 1)
     monkeypatch.setattr(os, "fork", no_fork)
+    fds = open_fds()
     assert run_at(tmp_path, capsys, monkeypatch, cfg, 2) == one
     assert parent_writes == [1, 1]
+    assert open_fds() == fds
 
 
 @pytest.fixture
@@ -211,10 +216,12 @@ def test_error_after_the_fork_leaves_no_child(tmp_path, monkeypatch, forks, erro
         before_stage_call(monkeypatch, 4 * 2 * ROWS + 2, fail)
     else:
         monkeypatch.setattr(cli, "certify", fail)
+    fds = open_fds()
     with pytest.raises(type(error)):
         main(["run", cfg, "--out", str(tmp_path / "o")])
     assert forks == [1]
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 def trajectory_bits(traj):
@@ -237,38 +244,39 @@ def column_calls(monkeypatch):
     return calls
 
 
-def trace_stream(path):
-    return simulator.CsvStream(lambda traj: [traj.csv_table(path)])
+def trace_tables(path):
+    return lambda traj: [traj.csv_table(path)]
 
 
 def sim_of(tmp_path, body):
     return sl.load_config(write_cfg(tmp_path, body)).sim
 
 
-def integrate(sim, call, writer=None):
-    """run(sim, writer), its stage failing on call number `call` unless None."""
+def integrate(sim, call, tables=None):
+    """run(sim, tables), its stage failing on call number `call` unless None."""
     stage = sim._law if call is None else failing(sim._law, call)
-    return simulator._integrate(sim, stage, sim.x0, writer)
+    return simulator._integrate(sim, stage, sim.x0, tables)
 
 
 @pytest.mark.parametrize("body, call", [m[1:3] for m in MATRIX if not m[0].endswith("-svg")],
                          ids=[m[0] for m in MATRIX if not m[0].endswith("-svg")])
-def test_shared_trajectory_equals_one_process(tmp_path, monkeypatch, body, call):
+def test_shared_trajectory_equals_one_process(tmp_path, monkeypatch, parent_writes, body,
+                                              call):
     # The writer forms the derived columns; this process forms none of them.
     sim = sim_of(tmp_path, body)
     one = integrate(sim, call)
     one.to_csv(tmp_path / "one.csv")
     calls = column_calls(monkeypatch)
-    with trace_stream(tmp_path / "trace.csv") as stream:
-        shared = integrate(sim, call, stream)
-        assert stream.wait() and stream.wait()
+    use_cpus(monkeypatch, 2)
+    shared = integrate(sim, call, trace_tables(tmp_path / "trace.csv"))
+    assert parent_writes == [1]  # one.csv only: the writer wrote trace.csv
     assert calls == []
     assert trajectory_bits(shared) == trajectory_bits(one)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert_no_child_left()
 
 
-def test_dead_writer_leaves_the_columns_to_this_process(tmp_path, monkeypatch):
+def test_dead_writer_leaves_the_columns_to_this_process(tmp_path, monkeypatch, parent_writes):
     # The writer exits with status 5 before its second block of rows; the
     # derived rows it left behind are not read.
     sim = sim_of(tmp_path, BASE)
@@ -283,33 +291,44 @@ def test_dead_writer_leaves_the_columns_to_this_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulator, "_write_rows", dying)
     calls = column_calls(monkeypatch)
-    with trace_stream(tmp_path / "trace.csv") as stream:
-        shared = integrate(sim, None, stream)
-        assert not stream.wait()
+    use_cpus(monkeypatch, 2)
+    fds = open_fds()
+    shared = integrate(sim, None, trace_tables(tmp_path / "trace.csv"))
+    assert parent_writes == [1]  # this process wrote the file
     assert calls == [1]  # the whole log, once
     assert trajectory_bits(shared) == trajectory_bits(one)
     assert_no_child_left()
+    assert open_fds() == fds
 
 
-def test_format_tables_are_built_before_the_fork(tmp_path):
+def test_format_tables_are_built_before_the_fork(tmp_path, monkeypatch, forks):
+    use_cpus(monkeypatch, 2)
     _g15.tables.cache_clear()
-    with trace_stream(tmp_path / "trace.csv") as stream:
-        integrate(sim_of(tmp_path, BASE), None, stream)
+    integrate(sim_of(tmp_path, BASE), None, trace_tables(tmp_path / "trace.csv"))
+    assert forks == [1]
     assert _g15.tables.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("writer, want", [("good", True), ("exits", False), ("no-fork", False)])
-def test_wait_reports_the_writer_outcome_on_every_call(tmp_path, monkeypatch, writer, want):
-    # run reaps the writer; each later wait() gives the same outcome.
+@pytest.mark.parametrize("writer, writes", [("good", 0), ("exits", 1), ("no-fork", 1),
+                                            ("one-cpu", 1)],
+                         ids=["good", "exits", "no-fork", "one-cpu"])
+def test_run_writes_the_files_once_whatever_the_writer_does(tmp_path, monkeypatch,
+                                                            parent_writes, writer, writes):
+    # A library call: run reaps its writer and writes what it did not.
+    sim = sim_of(tmp_path, BASE)
+    sl.run(sim).to_csv(tmp_path / "one.csv")
+    parent_writes.clear()
+    use_cpus(monkeypatch, 1 if writer == "one-cpu" else 2)
     if writer == "exits":
-        monkeypatch.setattr(simulator.CsvStream, "_serve", lambda *args: os._exit(5))
+        monkeypatch.setattr(simulator, "_serve", lambda *args: os._exit(5))
     elif writer == "no-fork":
         monkeypatch.setattr(os, "fork", no_fork)
-    with trace_stream(tmp_path / "trace.csv") as stream:
-        simulator.run(sim_of(tmp_path, BASE), stream)
-        assert [stream.wait(), stream.wait()] == [want, want]
-    assert stream.wait() == want
+    fds = open_fds()
+    sl.run(sim, trace_tables(tmp_path / "trace.csv"))
+    assert len(parent_writes) == writes
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 # (id, route, dt, stride, steps, the stage call that fails or None, whether
