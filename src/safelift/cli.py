@@ -17,13 +17,12 @@ estimation errors against theta1/x2_max and 1/theta2, plain and log10)
 into the output directory, every CSV with 15 significant digits and the
 three written in one chunked pass that formats each distinct column once
 per chunk, in one vectorised call; --svg adds simple vector plots of both.
-The three CSVs are written by the simulation, simulator.run(cfg, tables):
-with more than one usable CPU, a writer it forks writes them and forms the
-derived columns while this process integrates, and run reaps it and reads
-the trajectory from their shared log; with one CPU, or when the writer
-could not start or failed, run writes them after the loop, so the files,
-exit code and stderr are those of a one-process run. This process then
-certifies and writes cert.txt and the SVGs.
+The three CSVs are written by the simulation, simulator.run(cfg, tables),
+as one function forms the derived columns of each block of rows into the
+run's log: in a writer forked while this process integrates, with more
+than one usable CPU, else in this process after the loop, so the files,
+exit code and stderr are the same either way. This process then certifies
+the trajectory and writes cert.txt and the SVGs.
 `sweep` writes one sweep.csv row per parameter combination and keeps going
 past per-row failures. Its rows are cut into consecutive shares over
 min(rows, usable CPUs) processes, this one first, then children forked as

@@ -22,19 +22,20 @@ is the StepRejected that step raises.
 The loop only steps and logs; z, V (monitor.lyapunov_fn, from the true
 parameters, never fed back) and V's two rates come from the log after it,
 with unsquash(x2 / x2_max) formed once per sample for z2 and for V. One
-function, _columns, forms them for any block of log rows: each column is a
-row's own arithmetic except V's numeric rate, np.gradient's explicit
-three-point formulas over the row and its neighbours (_rate).
+function, _derive, stores them in the log's last rows for any block of
+rows: each column is a row's own arithmetic except V's numeric rate,
+np.gradient's explicit three-point formulas over the row and its
+neighbours (_rate). A run's Trajectory is views on its log (_trajectory).
 
 write_csvs writes several CSV tables in one chunked pass: per chunk, one
 vectorised "%.15g" call (_g15) formats each distinct column array once,
 every table gathers its cells from that block, and Trajectory.to_csv is the
-one-table case. run(cfg, tables) writes a run's files too: with more than
-one usable CPU, from a writer it forks over a log held in shared memory
-(_serve), which after each flush forms the rows whose columns are final,
-stores their derived columns in the log and formats them. A run whose
-writer wrote every file reads its Trajectory from that log, so no column is
-formed twice; otherwise run forms the columns and writes the files itself.
+one-table case. One function, _serve, derives a run's rows as their
+columns become final and, given run(cfg, tables)'s tables, writes them to
+those files in the same blocks. With tables and more than one usable CPU
+it runs in a writer forked over the log, which is shared memory, and hears
+the rows filled after each flush; otherwise, or if that writer could not
+start or failed, it runs in this process once the loop is done.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
 # hears of new rows only at a flush, so it runs up to this many rows (plus
 # the one whose rate waits for its successor) behind the loop.
 LOG_FLUSH_ROWS = 256
-# The Trajectory columns of the log's rows: the seven the loop fills, then,
-# in the shared log of a run with a forked writer, the five the writer forms.
+# The Trajectory columns of the log's rows: the seven the loop fills, then
+# the five that _derive forms.
 _RAW = ("e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
 _DERIVED = ("z1", "z2", "v", "vdot_analytic", "vdot_numeric")
 
@@ -196,8 +197,10 @@ class Trajectory:
 # `safelift run` on the fig2 and certified configs, 256 rows peaked at
 # 41.5 MB, as the replaced %-format writer did; 512 rows took 42.8 MB and
 # 1024 rows 44.8 MB for up to 5% less time, 128 rows 41.0 MB but 7% more.
-# A forked writer forms and writes the rows that are ready at most this many
-# at a time, so it also bounds the writer's own blocks.
+# _serve derives and writes the rows that are ready at most this many at a
+# time, so it also bounds its own blocks. With no files to write it derives
+# them in one block: each block costs about 35 µs of fixed NumPy work, 4-5 ms
+# over a 30 001-row log.
 CSV_CHUNK_ROWS = 256
 
 
@@ -281,25 +284,30 @@ def fork_child(work, to_child: bool) -> tuple[Optional[int], int]:
     return pid, mine
 
 
-def _serve(cfg, log, tables, fd) -> None:
-    """A forked CSV writer's work: rows as their columns become final, the
-    rest once the final count is in, their derived columns stored in the log.
+def _counts(fd):
+    """The latest row count the loop has sent over fd, once per read, until
+    the pipe ends: each count is one 8-byte write, so a read holds whole ones."""
+    while data := os.read(fd, 4096):
+        yield struct.unpack(f"{len(data) // 8}q", data)[-1]
 
-    A row's numeric V rate reads the next row, and its formula depends
-    on whether every spacing of t in the whole log is equal (np.gradient's
+
+def _serve(cfg, log, tables, counts) -> None:
+    """Derive the log's rows as their columns become final and, with tables,
+    write them to its files: the filled rows of each count, the final one
+    as ~n, a forked writer's from its pipe (_counts) and this process's
+    [~n] once the loop is done.
+
+    A row's numeric V rate reads the next row, and its formula depends on
+    whether every spacing of t in the whole log is equal (np.gradient's
     uniform branch). So before the final count, only the rows before the
-    last filled one are written, and only once two spacings differ.
+    last filled one are derived, and only once two spacings differ.
     """
     with ExitStack() as stack:
-        files = _open_csvs(stack, tables(_columns(cfg, log, 0, 0, 0)))  # no rows yet
+        files = tables and _open_csvs(stack, tables(_trajectory(cfg, log, 0, 0)))
         h = _times(cfg, 0, 2)[-1]  # the first spacing (t starts at 0)
         done = n = 0
-        mixed = final = False
-        while not final:
-            data = os.read(fd, 4096)  # whole counts: each is one 8-byte write
-            if not data:
-                raise EOFError("the run ended without a final count")
-            count = struct.unpack(f"{len(data) // 8}q", data)[-1]
+        mixed = False
+        for count in counts:
             final = count < 0
             filled = ~count if final else count
             if not mixed and filled > 2:
@@ -307,11 +315,14 @@ def _serve(cfg, log, tables, fd) -> None:
             n = filled
             ready = n if final else n - 1 if mixed else 0
             while done < ready:
-                hi = min(done + CSV_CHUNK_ROWS, ready)
-                traj = _columns(cfg, log, done, hi, n, not mixed)
-                log[len(_RAW):, done:hi] = [getattr(traj, name) for name in _DERIVED]
-                _write_rows(files, tables(traj))
+                hi = min(done + CSV_CHUNK_ROWS, ready) if tables else ready
+                _derive(cfg, log, done, hi, n, not mixed)
+                if tables:
+                    _write_rows(files, tables(_trajectory(cfg, log, done, hi)))
                 done = hi
+            if final:
+                return
+        raise EOFError("the run ended without a final count")
 
 
 def _rk4(stage, plant, dt):
@@ -364,14 +375,14 @@ def _times(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     return np.minimum(np.arange(lo * stride, hi * stride, stride), cfg.n_steps) * cfg.dt
 
 
-def _rate(v, t, uniform=None):
+def _rate(v, t, uniform):
     """np.gradient(v, t, edge_order=min(2, len(t) - 1)), bit for bit, from its
     explicit three-point formulas; nan for one sample.
 
     uniform picks the formulas for equal spacings, which np.gradient takes
-    when every spacing of t equals the first; by default from t itself. A
-    caller that passes v and t of a window of a longer log passes the whole
-    log's choice, and uses the end formulas only where the window ends the log.
+    when every spacing of t equals the first. v and t may be a window of a
+    longer log: uniform is then the whole log's choice, and the caller reads
+    an end formula's row only where the window ends the log.
     """
     out = np.full_like(v, np.nan)
     if len(v) < 2:
@@ -380,8 +391,6 @@ def _rate(v, t, uniform=None):
     if len(v) == 2:  # edge_order 1: one spacing serves both ends
         out[:] = (v[1] - v[0]) / dx[0]
         return out
-    if uniform is None:
-        uniform = bool((dx == dx[0]).all())
     if uniform:
         h = dx[0]
         out[1:-1] = (v[2:] - v[:-2]) / (2. * h)
@@ -404,37 +413,37 @@ def _rate(v, t, uniform=None):
     return out
 
 
-def _columns(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform=None,
-             failure=None) -> Trajectory:
-    """Rows lo:hi of the Trajectory of a log whose rows 0:n are filled.
+def _derive(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform: bool) -> None:
+    """Store the derived columns (_DERIVED) of rows lo:hi of a log whose rows
+    0:n are filled in its last rows.
 
     log holds (e1, e2, u, x1, x2, p2_hat, theta1_hat) in its first rows
-    (_RAW), one column per sample. t comes from _times, z from unsquash, V
-    from monitor.lyapunov_fn and its analytic rate from
-    monitor.vdot_analytic, row by row. The numeric rate (_rate) reads a
-    window of up to two rows either side; uniform is as for _rate. Unless n
-    is the whole log, hi < n and n >= 3, so no row in lo:hi takes an end
-    formula.
+    (_RAW), one column per sample. z comes from unsquash, V from
+    monitor.lyapunov_fn and its analytic rate from monitor.vdot_analytic,
+    row by row. The numeric rate (_rate) reads a window of up to two rows
+    either side; uniform is as for _rate. Unless n is the whole log, hi < n
+    and n >= 3, so no row in lo:hi takes an end formula.
     """
     a, b = max(0, min(lo - 1, n - 3)), min(n, max(hi + 1, 3))
-    t = _times(cfg, a, b)
-    e1, e2, u, x1, x2, p2h, th1h = log[:len(_RAW), a:b]
+    e1, e2, _, x1, x2, p2h, th1h = log[:len(_RAW), a:b]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
     zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
         v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(zn2, p2h, th1h, e1)
-        vdot_num = _rate(v, t, uniform)
+        vdot_num = _rate(v, _times(cfg, a, b), uniform)
     k = slice(lo - a, hi - a)
-    x1, x2, e1, e2 = x1[k], x2[k], e1[k], e2[k]
-    return Trajectory(
-        t=t[k], x1=x1, x2=x2,
-        z1=xb1 * np.fromiter(map(fam1.unsquash, x1 / xb1), float, len(x1)),
-        z2=xb2 * zn2[k],
-        e1=e1, e2=e2, u=u[k], p2_hat=p2h[k], theta1_hat=th1h[k],
-        v=v[k], vdot_analytic=vdot_analytic(e1, e2, cfg.gains), vdot_numeric=vdot_num[k],
-        in_safe_set=cfg.safe_set.contains(x1, x2),
-        failure=failure)
+    z1 = xb1 * np.fromiter(map(fam1.unsquash, x1[k] / xb1), float, hi - lo)
+    log[len(_RAW):, lo:hi] = (z1, xb2 * zn2[k], v[k], vdot_analytic(e1[k], e2[k], cfg.gains),
+                              vdot_num[k])
+
+
+def _trajectory(cfg: SimConfig, log, lo: int, hi: int, failure=None) -> Trajectory:
+    """Rows lo:hi of a log's Trajectory, as views on the log, with t from
+    _times and in_safe_set from the box."""
+    cols = dict(zip(_RAW + _DERIVED, log[:, lo:hi]))
+    return Trajectory(t=_times(cfg, lo, hi), **cols, failure=failure,
+                      in_safe_set=cfg.safe_set.contains(cols["x1"], cols["x2"]))
 
 
 def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
@@ -445,36 +454,32 @@ def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
     theta1_hat); s0 is the initial point in the stage's own coordinates. A
     step's one stage call is _rk4's first stage; a logged step keeps its
     tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
-    The columns come from _columns, so the monitor can compare V's analytic
-    and numeric rates.
+    The log is an anonymous shared mmap with five more rows, where _serve
+    stores the derived columns (so the monitor can compare V's analytic and
+    numeric rates); the Trajectory is views on it (_trajectory).
 
-    With tables and more than one usable CPU, the log is shared with a
-    forked CSV writer (_serve) and has five more rows, which the writer
-    fills with the derived columns; every flush sends it the rows filled,
-    and a broken pipe means it is gone. On every way out the pipe is closed
-    and the writer reaped, so one whose log never ended (an error or an
-    interrupt here) exits without finishing its files. If it wrote every
-    file, the Trajectory is views on the shared log, with t from _times and
-    in_safe_set from the box; else _columns forms it here and
-    write_csvs(tables(traj)) writes the files.
+    With tables and more than one usable CPU, _serve runs in a forked
+    writer: every flush sends it the rows filled, and a broken pipe means it
+    is gone. On every way out the pipe is closed and the writer reaped, so
+    one whose log never ended (an error or an interrupt here) exits without
+    finishing its files. Unless the writer wrote every file, _serve runs
+    here after the loop, over the whole log.
     """
     n = cfg.n_steps
     dt = cfg.dt
     stride = cfg.log_stride
 
     n_log = n // stride + 1 + (1 if n % stride else 0)
-    shared = tables is not None and usable_cpus() > 1
     try:
-        log = (np.frombuffer(mmap.mmap(-1, 8 * len(_RAW + _DERIVED) * n_log)).reshape(-1, n_log)
-               if shared else np.empty((len(_RAW), n_log)))
+        log = np.frombuffer(mmap.mmap(-1, 8 * len(_RAW + _DERIVED) * n_log)).reshape(-1, n_log)
     except (MemoryError, ValueError, OverflowError, OSError):
         raise ConfigError(
             f"a log of {n_log:.6g} samples (t_final={cfg.t_final}, dt={dt}, "
             f"log_stride={stride}) cannot be allocated") from None
     pid = fd = None  # the writer's, and this end of its pipe
-    if shared:
+    if tables is not None and usable_cpus() > 1:
         g15_tables()  # built once per process, not again in every writer
-        pid, fd = fork_child(lambda rfd: _serve(cfg, log, tables, rfd), to_child=True)
+        pid, fd = fork_child(lambda rfd: _serve(cfg, log, tables, _counts(rfd)), to_child=True)
     rk4 = _rk4(stage, cfg.plant, dt)
     raw = log[:len(_RAW)]
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
@@ -510,24 +515,19 @@ def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
         if fd is not None:
             os.close(fd)
         written = pid is not None and os.waitpid(pid, 0)[1] == 0
-    if written:
-        cols = dict(zip(_RAW + _DERIVED, log[:, :j]))
-        return Trajectory(t=_times(cfg, 0, j), **cols, failure=failure,
-                          in_safe_set=cfg.safe_set.contains(cols["x1"], cols["x2"]))
-    traj = _columns(cfg, log, 0, j, j, failure=failure)
-    if tables is not None:
-        write_csvs(tables(traj))
-    return traj
+    if not written:
+        _serve(cfg, log, tables, [~j])
+    return _trajectory(cfg, log, 0, j, failure)
 
 
 def run(cfg: SimConfig, tables=None) -> Trajectory:
     """Integrate the closed loop in x to t_final (or to the first failure).
 
     With tables, a function that gives write_csvs' (path, header, cols)
-    tables of a Trajectory or of a block of its rows, run also writes those
-    files: from a forked writer while it integrates, at more than one usable
-    CPU, else (or if the writer could not start or failed) after the loop.
-    The files are byte-identical either way.
+    tables of a Trajectory's block of rows, run also writes those files, a
+    block at a time as _serve derives the rows: in a forked writer while it
+    integrates, at more than one usable CPU, else in this process after the
+    loop. The files are byte-identical either way.
     """
     return _integrate(cfg, cfg._law, cfg.x0, tables)
 

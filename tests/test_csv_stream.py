@@ -1,20 +1,22 @@
-"""`safelift run`'s forked CSV writer against the one-process run.
+"""`simulator._serve`, the one function that derives a run's rows and
+writes its CSVs, in a forked writer and in this process.
 
-With more than one usable CPU, `simulator.run(cfg, tables)` forks a writer
-that writes the three CSVs from the shared log while the loop runs. Every
-file, the exit code and stderr must equal the one-CPU run's, whatever the
-log's length, stride, spacing or abort; a writer that fails or cannot be
-forked leaves the files to run, which writes them once in this process; an
-error or an interrupt leaves no child and no open descriptor behind. The
-writer also forms the derived columns into the shared log, and the run's
-Trajectory read from there must equal the one-process Trajectory bit for
-bit. V's numeric rate, now formed by explicit formulas a block of rows at
-a time, must equal np.gradient of the whole log bit for bit.
+With more than one usable CPU, `simulator.run(cfg, tables)` runs `_serve`
+in a writer it forks, which derives the rows and writes the three CSVs
+from the shared log while the loop runs; with one CPU, or when that writer
+fails or cannot be forked, `_serve` runs once in this process after the
+loop. Every file, the exit code, stderr and the run's Trajectory must be
+the same either way, bit for bit, whatever the log's length, stride,
+spacing or abort; an error or an interrupt leaves no child and no open
+descriptor behind. V's numeric rate, formed by explicit formulas a block
+of rows at a time, must equal np.gradient of the whole log bit for bit.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import os
+import signal
 import time
 
 import numpy as np
@@ -41,13 +43,27 @@ def run_at(tmp_path, capsys, monkeypatch, cfg, cpus, flags=()):
                        for f in sorted(out.iterdir())}
 
 
+def count_calls(monkeypatch, name, calls, counts=lambda *args: True):
+    """calls, gaining an entry at every call of simulator.<name> made by
+    this process, not by a writer, whose arguments pass counts."""
+    parent, real = os.getpid(), getattr(simulator, name)
+
+    def counted(*args):
+        if os.getpid() == parent and counts(*args):
+            calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, name, counted)
+    return calls
+
+
 @pytest.fixture
 def parent_writes(monkeypatch):
-    """How many times this process wrote the CSVs itself."""
-    calls = []
-    real = simulator.write_csvs
-    monkeypatch.setattr(simulator, "write_csvs", lambda tables: calls.append(1) or real(tables))
-    return calls
+    """How many times this process wrote the CSVs itself: by write_csvs, or
+    by _serve given tables."""
+    calls = count_calls(monkeypatch, "write_csvs", [])
+    return count_calls(monkeypatch, "_serve", calls,
+                       lambda cfg, log, tables, counts: tables is not None)
 
 
 def before_stage_call(monkeypatch, call, action):
@@ -200,6 +216,22 @@ def test_unloggable_horizon_is_refused_before_any_fork(tmp_path, capsys, monkeyp
     assert err.startswith("configuration error: a log of ") and "cannot be allocated" in err
 
 
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Fail the test if the block runs longer than `seconds`, so a run that
+    waits for a writer that never hears its pipe end fails, not hangs."""
+    def expired(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
 @pytest.mark.parametrize("error", [ZeroDivisionError("a defect"), KeyboardInterrupt()],
                          ids=["defect", "interrupt"])
 @pytest.mark.parametrize("where", ["stage", "certify"])
@@ -217,7 +249,7 @@ def test_error_after_the_fork_leaves_no_child(tmp_path, monkeypatch, forks, erro
     else:
         monkeypatch.setattr(cli, "certify", fail)
     fds = open_fds()
-    with pytest.raises(type(error)):
+    with pytest.raises(type(error)), alarm_after(5):
         main(["run", cfg, "--out", str(tmp_path / "o")])
     assert forks == [1]
     assert_no_child_left()
@@ -232,16 +264,9 @@ def trajectory_bits(traj):
 
 
 def column_calls(monkeypatch):
-    """The simulator._columns calls made by this process, not by a writer."""
-    calls, parent, real = [], os.getpid(), simulator._columns
-
-    def counted(*args, **kwargs):
-        if os.getpid() == parent:
-            calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "_columns", counted)
-    return calls
+    """The simulator._serve calls made by this process, not by a writer;
+    each derives the columns of the whole log."""
+    return count_calls(monkeypatch, "_serve", [])
 
 
 def trace_tables(path):
@@ -320,7 +345,7 @@ def test_run_writes_the_files_once_whatever_the_writer_does(tmp_path, monkeypatc
     parent_writes.clear()
     use_cpus(monkeypatch, 1 if writer == "one-cpu" else 2)
     if writer == "exits":
-        monkeypatch.setattr(simulator, "_serve", lambda *args: os._exit(5))
+        monkeypatch.setattr(simulator, "_counts", lambda fd: os._exit(5))
     elif writer == "no-fork":
         monkeypatch.setattr(os, "fork", no_fork)
     fds = open_fds()
@@ -346,6 +371,10 @@ RATES = [
     ("dt0.0029296875-stride7", "x", 0.0029296875, 7, 7 * 80, None, True),
     ("dt0.0029296875-stride7-off", "x", 0.0029296875, 7, 7 * 80 + 3, None, False),
     ("dt0.0029296875-stride10", "x", 0.0029296875, 10, 10 * 80, None, True),
+    # Planned with an off-stride final sample, but aborted after logged row
+    # 600, so every spacing of its three blocks is equal.
+    ("dt0.0029296875-stride7-off-abort", "x", 0.0029296875, 7, 7 * 700 + 3,
+     4 * 7 * 600 + 2, True),
 ]
 RATES += [(f"lifted-{r[0]}", "z", *r[2:]) for r in RATES]
 
