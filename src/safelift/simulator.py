@@ -19,23 +19,26 @@ clamped trajectory would fake the safety property the run is supposed to
 demonstrate). An aborted run keeps the partial trajectory, and its failure
 is the StepRejected that step raises.
 
-The loop only steps and logs; z, V (monitor.lyapunov_fn, from the true
-parameters, never fed back) and V's two rates come from the log after it,
-with unsquash(x2 / x2_max) formed once per sample for z2 and for V. One
-function, _derive, stores them in the log's last rows for any block of
-rows: each column is a row's own arithmetic except V's numeric rate,
-np.gradient's explicit three-point formulas over the row and its
-neighbours (_rate). A run's Trajectory is views on its log (_trajectory).
+The loop only steps and logs: each flush fills the log's first rows with
+t (the logged step index times dt) and the seven logged signals. z, V
+(monitor.lyapunov_fn, from the true parameters, never fed back) and V's
+two rates come from the log after it, with unsquash(x2 / x2_max) formed
+once per sample for z2 and for V. One function, _derive, stores them in
+the log's last rows for any run of rows: each column is a row's own
+arithmetic except V's numeric rate, np.gradient's explicit three-point
+formulas over the row and its neighbours (_rate). A run's Trajectory is
+views on its log (_trajectory).
 
-write_csvs writes several CSV tables in one chunked pass: per chunk, one
-vectorised "%.15g" call (_g15) formats each distinct column array once,
-every table gathers its cells from that block, and Trajectory.to_csv is the
-one-table case. One function, _serve, derives a run's rows as their
-columns become final and, given run(cfg, tables)'s tables, writes them to
-those files in the same blocks. With tables and more than one usable CPU
-it runs in a writer forked over the log, which is shared memory, and hears
-the rows filled after each flush; otherwise, or if that writer could not
-start or failed, it runs in this process once the loop is done.
+write_csvs writes several CSV tables in one pass of BLOCK_ROWS-row blocks:
+per block, one vectorised "%.15g" call (_g15) formats each distinct column
+array once, every table gathers its cells from that block, and
+Trajectory.to_csv is the one-table case. One function, _serve, derives a
+run's rows as their columns become final and, given run(cfg, tables)'s
+tables, writes them to those files in the same blocks. With tables and
+more than one usable CPU it runs in a writer forked over the log, which is
+shared memory, and hears the rows filled after each flush; otherwise, or
+if that writer could not start or failed, it runs in this process once the
+loop is done.
 """
 
 from __future__ import annotations
@@ -63,15 +66,20 @@ from .monitor import lyapunov_fn, vdot_analytic
 from .plant import LiftedDynamics, PlantDef, require_truth
 
 _STAGE_ERRORS = (DomainViolation, SingularityDetected, NonFiniteInput)
-# Stage tuples _integrate holds (0.4 kB each) before one struct.pack logs them:
-# 0.27-0.28 µs a row, against 0.42 µs for np.fromiter and 1.4-1.7 µs for a
-# column store (256 fig2 law tuples, 2-CPU shared host). A forked writer
-# hears of new rows only at a flush, so it runs up to this many rows (plus
-# the one whose rate waits for its successor) behind the loop.
-LOG_FLUSH_ROWS = 256
-# The Trajectory columns of the log's rows: the seven the loop fills, then
-# the five that _derive forms.
-_RAW = ("e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
+# The rows of one block: _integrate's flush of the log and each write of
+# CSV rows. The loop holds this many stage tuples (0.4 kB each) before one
+# struct.pack logs them: 0.27-0.28 µs a row, against 0.42 µs for np.fromiter
+# and 1.4-1.7 µs for a column store (256 fig2 law tuples, 2-CPU shared
+# host). A forked writer hears of new rows only at a flush, so it runs up to
+# this many rows (plus the one whose rate waits for its successor) behind
+# the loop. Writing CSVs keeps one block of every table's cells alive at
+# once: in `safelift run` on the fig2 and certified configs, 256 rows peaked
+# at 41.5 MB; 512 rows took 42.8 MB and 1024 rows 44.8 MB for up to 5% less
+# time, 128 rows 41.0 MB but 7% more.
+BLOCK_ROWS = 256
+# The Trajectory columns of the log's rows: the eight the loop's flush
+# fills, then the five that _derive forms.
+_RAW = ("t", "e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
 _DERIVED = ("z1", "z2", "v", "vdot_analytic", "vdot_numeric")
 
 
@@ -193,17 +201,6 @@ class Trajectory:
         write_csvs([self.csv_table(path)])
 
 
-# write_csvs keeps one chunk of every table's cells alive at once. In
-# `safelift run` on the fig2 and certified configs, 256 rows peaked at
-# 41.5 MB, as the replaced %-format writer did; 512 rows took 42.8 MB and
-# 1024 rows 44.8 MB for up to 5% less time, 128 rows 41.0 MB but 7% more.
-# _serve derives and writes the rows that are ready at most this many at a
-# time, so it also bounds its own blocks. With no files to write it derives
-# them in one block: each block costs about 35 µs of fixed NumPy work, 4-5 ms
-# over a 30 001-row log.
-CSV_CHUNK_ROWS = 256
-
-
 def _open_csvs(stack, tables):
     """The file of each (path, header, cols) table, opened in stack, its
     header written."""
@@ -234,17 +231,17 @@ def _write_rows(files, tables, lo=0, hi=None):
 
 
 def write_csvs(tables) -> None:
-    """Write CSV tables of numeric columns in one chunked pass.
+    """Write CSV tables of numeric columns in one blocked pass.
 
     tables holds (path, header, cols) entries, every column as long as the
     first; each column is cast to float64. Each file is byte-identical to
-    per-cell f"{v:.15g}" formatting. Per chunk of CSV_CHUNK_ROWS rows, each
+    per-cell f"{v:.15g}" formatting. Per block of BLOCK_ROWS rows, each
     distinct column is formatted once (_write_rows).
     """
     with ExitStack() as stack:
         files = _open_csvs(stack, tables)
-        for lo in range(0, len(tables[0][2][0]), CSV_CHUNK_ROWS):
-            _write_rows(files, tables, lo, lo + CSV_CHUNK_ROWS)
+        for lo in range(0, len(tables[0][2][0]), BLOCK_ROWS):
+            _write_rows(files, tables, lo, lo + BLOCK_ROWS)
 
 
 def usable_cpus() -> int:
@@ -298,28 +295,31 @@ def _serve(cfg, log, tables, counts) -> None:
     [~n] once the loop is done.
 
     A row's numeric V rate reads the next row, and its formula depends on
-    whether every spacing of t in the whole log is equal (np.gradient's
-    uniform branch). So before the final count, only the rows before the
-    last filled one are derived, and only once two spacings differ.
+    whether every spacing of t, the log's first row, equals t[1] - t[0]
+    (np.gradient's uniform branch). So before the final count, only the rows
+    before the last filled one are derived, and only once two spacings
+    differ. Each count's ready rows are derived in one _derive call, then
+    written BLOCK_ROWS at a time.
     """
     with ExitStack() as stack:
         files = tables and _open_csvs(stack, tables(_trajectory(cfg, log, 0, 0)))
-        h = _times(cfg, 0, 2)[-1]  # the first spacing (t starts at 0)
+        t = log[0]
         done = n = 0
         mixed = False
         for count in counts:
             final = count < 0
             filled = ~count if final else count
             if not mixed and filled > 2:
-                mixed = bool((np.diff(_times(cfg, max(n - 1, 0), filled)) != h).any())
+                mixed = bool((np.diff(t[max(n - 1, 0):filled]) != t[1] - t[0]).any())
             n = filled
             ready = n if final else n - 1 if mixed else 0
-            while done < ready:
-                hi = min(done + CSV_CHUNK_ROWS, ready) if tables else ready
-                _derive(cfg, log, done, hi, n, not mixed)
+            if done < ready:
+                _derive(cfg, log, done, ready, n, not mixed)
                 if tables:
-                    _write_rows(files, tables(_trajectory(cfg, log, done, hi)))
-                done = hi
+                    for lo in range(done, ready, BLOCK_ROWS):
+                        hi = min(lo + BLOCK_ROWS, ready)
+                        _write_rows(files, tables(_trajectory(cfg, log, lo, hi)))
+                done = ready
             if final:
                 return
         raise EOFError("the run ended without a final count")
@@ -369,12 +369,6 @@ def step(cfg: SimConfig, state: tuple[float, float], est: EstimatorState,
     return (x1, x2), EstimatorState(p2_hat=p2h, theta1_hat=th1h)
 
 
-def _times(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """t of log rows lo:hi: each logged step index i (the last one n) times dt."""
-    stride = cfg.log_stride
-    return np.minimum(np.arange(lo * stride, hi * stride, stride), cfg.n_steps) * cfg.dt
-
-
 def _rate(v, t, uniform):
     """np.gradient(v, t, edge_order=min(2, len(t) - 1)), bit for bit, from its
     explicit three-point formulas; nan for one sample.
@@ -417,7 +411,7 @@ def _derive(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform: bool) -> Non
     """Store the derived columns (_DERIVED) of rows lo:hi of a log whose rows
     0:n are filled in its last rows.
 
-    log holds (e1, e2, u, x1, x2, p2_hat, theta1_hat) in its first rows
+    log holds (t, e1, e2, u, x1, x2, p2_hat, theta1_hat) in its first rows
     (_RAW), one column per sample. z comes from unsquash, V from
     monitor.lyapunov_fn and its analytic rate from monitor.vdot_analytic,
     row by row. The numeric rate (_rate) reads a window of up to two rows
@@ -425,13 +419,13 @@ def _derive(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform: bool) -> Non
     and n >= 3, so no row in lo:hi takes an end formula.
     """
     a, b = max(0, min(lo - 1, n - 3)), min(n, max(hi + 1, 3))
-    e1, e2, _, x1, x2, p2h, th1h = log[:len(_RAW), a:b]
+    t, e1, e2, _, x1, x2, p2h, th1h = log[:len(_RAW), a:b]
     xb1, xb2 = cfg.safe_set.bounds
     fam1, fam2 = family_pair(cfg.family)
     zn2 = np.fromiter(map(fam2.unsquash, x2 / xb2), float, len(x2))  # z2 and V's barrier
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
         v = lyapunov_fn(cfg.plant, cfg.safe_set, cfg.family, cfg.gains)(zn2, p2h, th1h, e1)
-        vdot_num = _rate(v, _times(cfg, a, b), uniform)
+        vdot_num = _rate(v, t, uniform)
     k = slice(lo - a, hi - a)
     z1 = xb1 * np.fromiter(map(fam1.unsquash, x1[k] / xb1), float, hi - lo)
     log[len(_RAW):, lo:hi] = (z1, xb2 * zn2[k], v[k], vdot_analytic(e1[k], e2[k], cfg.gains),
@@ -439,10 +433,10 @@ def _derive(cfg: SimConfig, log, lo: int, hi: int, n: int, uniform: bool) -> Non
 
 
 def _trajectory(cfg: SimConfig, log, lo: int, hi: int, failure=None) -> Trajectory:
-    """Rows lo:hi of a log's Trajectory, as views on the log, with t from
-    _times and in_safe_set from the box."""
+    """Rows lo:hi of a log's Trajectory, as views on the log, with
+    in_safe_set from the box."""
     cols = dict(zip(_RAW + _DERIVED, log[:, lo:hi]))
-    return Trajectory(t=_times(cfg, lo, hi), **cols, failure=failure,
+    return Trajectory(**cols, failure=failure,
                       in_safe_set=cfg.safe_set.contains(cols["x1"], cols["x2"]))
 
 
@@ -453,10 +447,12 @@ def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
     signals and the state it evaluated, (..., e1, e2, u, x1, x2, p2_hat,
     theta1_hat); s0 is the initial point in the stage's own coordinates. A
     step's one stage call is _rk4's first stage; a logged step keeps its
-    tuple, whose last seven entries go to the log LOG_FLUSH_ROWS at a time.
-    The log is an anonymous shared mmap with five more rows, where _serve
-    stores the derived columns (so the monitor can compare V's analytic and
-    numeric rates); the Trajectory is views on it (_trajectory).
+    tuple. Every BLOCK_ROWS rows and after the loop, flush moves the tuples'
+    last seven entries into the log beside their t, each logged step index
+    (the last one n) times dt, so each row is written once. The log is an
+    anonymous shared mmap with five more rows, where _serve stores the
+    derived columns (so the monitor can compare V's analytic and numeric
+    rates); the Trajectory is views on it (_trajectory).
 
     With tables and more than one usable CPU, _serve runs in a forked
     writer: every flush sends it the rows filled, and a broken pipe means it
@@ -481,13 +477,14 @@ def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
         g15_tables()  # built once per process, not again in every writer
         pid, fd = fork_child(lambda rfd: _serve(cfg, log, tables, _counts(rfd)), to_child=True)
     rk4 = _rk4(stage, cfg.plant, dt)
-    raw = log[:len(_RAW)]
+    t, raw = log[0], log[1:len(_RAW)]
     rows, j = [], 0  # the logged stage tuples not yet flushed; the log rows filled
 
     def flush(final=False):
         k = len(rows)
         block = np.frombuffer(struct.pack(f"{12 * k}d", *chain.from_iterable(rows))
                               ).reshape(k, 12)
+        t[j:j + k] = np.minimum(np.arange(j * stride, (j + k) * stride, stride), n) * dt
         raw[:, j:j + k] = block[:, 5:].T
         rows.clear()
         if fd is not None:
@@ -503,7 +500,7 @@ def _integrate(cfg: SimConfig, stage, s0, tables=None) -> Trajectory:
                 out = stage(s1, s2, p2h, th1h)
                 if i % stride == 0 or i == n:
                     rows.append(out)
-                    if len(rows) == LOG_FLUSH_ROWS:
+                    if len(rows) == BLOCK_ROWS:
                         j = flush()
                 if i < n:
                     s1, s2, p2h, th1h = rk4(s1, s2, p2h, th1h, out)

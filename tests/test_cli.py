@@ -18,7 +18,7 @@ import safelift as sl
 from safelift import cli
 from safelift.cli import _ERRORS_HEADER, _estimation_errors, main
 from safelift.errors import SingularityDetected
-from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
+from safelift.simulator import BLOCK_ROWS, write_csvs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -228,7 +228,7 @@ class TestRunCommand:
         assert np.allclose(data["log10_theta1_err"], np.log10(expected),
                            rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS + 1])
     def test_estimation_errors_match_per_row_formatting(self, tmp_path, rows):
         # Whole-array log10 must give the same bytes as the scalar log10 of
         # a per-row writer, including errors that hit the 1e-300 floor.
@@ -382,8 +382,8 @@ class TestRunCsvs:
     @pytest.mark.parametrize("rows, old, new", [
         (0, "x2 = 0.9", "x2 = 0.9\np2_hat = 1e308"),
         (1, "x2 = 0.9", "x2 = 0.9\np2_hat = 1e100"),
-        (CSV_CHUNK_ROWS, "t_final = 2.0", f"t_final = {(CSV_CHUNK_ROWS - 1) / 1000}"),
-        (CSV_CHUNK_ROWS + 1, "t_final = 2.0", f"t_final = {CSV_CHUNK_ROWS / 1000}"),
+        (BLOCK_ROWS, "t_final = 2.0", f"t_final = {(BLOCK_ROWS - 1) / 1000}"),
+        (BLOCK_ROWS + 1, "t_final = 2.0", f"t_final = {BLOCK_ROWS / 1000}"),
     ])
     def test_each_file_matches_per_cell_reference(self, tmp_path, rows, old, new):
         cfg = write_cfg(tmp_path, BASE.replace(old, new))

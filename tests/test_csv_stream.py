@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import os
 import signal
+import struct
 import time
 
 import numpy as np
@@ -96,8 +97,17 @@ def edited(path, **edits):
     return body
 
 
-ROWS = simulator.LOG_FLUSH_ROWS
+ROWS = simulator.BLOCK_ROWS
 FLAT = BASE.replace("t_final = 2.0", "t_final = {t}")
+
+
+def uniform_but_the_last(rows):
+    """fig2 at dt = 3/1024 and stride 7, its log planned at `rows` rows: every
+    spacing of t equal but the last, off the stride."""
+    return edited(FIG2, dt=0.0029296875, log_stride=7,
+                  t_final=(7 * (rows - 2) + 3) * 0.0029296875)
+
+
 # (id, config text, the stage call that fails or None, flags)
 MATRIX = [
     ("fig2", edited(FIG2), None, []),
@@ -123,6 +133,10 @@ MATRIX = [
     ("fig2-dt0.09375-stride7-abort", edited(FIG2, dt=0.09375, log_stride=7), None, []),
     ("fig2-dt0.0029296875-stride7-abort", edited(FIG2, dt=0.0029296875, log_stride=7),
      4 * 7 * 300 + 1, []),
+    # The off-stride final spacing, the only unequal one, in the writer's
+    # first count (ROWS rows), just after it, or a row after that.
+    *[(f"fig2-dt0.0029296875-stride7-rows{r}", uniform_but_the_last(r), None, [])
+      for r in (ROWS, ROWS + 1, ROWS + 2)],
 ]
 
 
@@ -296,6 +310,31 @@ def test_shared_trajectory_equals_one_process(tmp_path, monkeypatch, parent_writ
     shared = integrate(sim, call, trace_tables(tmp_path / "trace.csv"))
     assert parent_writes == [1]  # one.csv only: the writer wrote trace.csv
     assert calls == []
+    assert trajectory_bits(shared) == trajectory_bits(one)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_no_child_left()
+
+
+def every_count(fd):
+    """Every count the loop sent over fd, in order, once the pipe ends."""
+    data = b""
+    while chunk := os.read(fd, 4096):
+        data += chunk
+    yield from struct.unpack(f"{len(data) // 8}q", data)
+
+
+@pytest.mark.parametrize("rows", [ROWS, ROWS + 1, ROWS + 2])
+def test_writer_hearing_every_count_equals_one_process(tmp_path, monkeypatch, parent_writes,
+                                                       rows):
+    # The writer's _serve meets each flush's count, however far it lags, so
+    # the count at the only unequal spacing of t is met in every run.
+    sim = sim_of(tmp_path, uniform_but_the_last(rows))
+    one = integrate(sim, None)
+    one.to_csv(tmp_path / "one.csv")
+    monkeypatch.setattr(simulator, "_counts", every_count)
+    use_cpus(monkeypatch, 2)
+    shared = integrate(sim, None, trace_tables(tmp_path / "trace.csv"))
+    assert parent_writes == [1]  # one.csv only: the writer wrote trace.csv
     assert trajectory_bits(shared) == trajectory_bits(one)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert_no_child_left()

@@ -1,8 +1,8 @@
 """The buffered log of _integrate against a straight reference loop.
 
-A logged step keeps its stage tuple, and the log is filled
-LOG_FLUSH_ROWS rows at a time, once more after the loop (also after a
-failure), with t formed from the logged step indices. The reference loop
+A logged step keeps its stage tuple, and the log is filled BLOCK_ROWS
+rows at a time, once more after the loop (also after a failure), its first
+row t written at each flush from the logged step indices. The reference loop
 stores each logged row as it comes, (i * dt, e1, e2, u, x1, x2, p2_hat,
 theta1_hat), from test_law_reference's reference law and RK4 step. run and
 run_lifted must equal it by float.hex in every logged column: at log
@@ -22,7 +22,7 @@ from safelift.errors import DomainViolation
 
 from test_law_reference import hexes, reference_law, reference_rk4
 
-ROWS = simulator.LOG_FLUSH_ROWS
+ROWS = simulator.BLOCK_ROWS
 COLUMNS = ("t", "e1", "e2", "u", "x1", "x2", "p2_hat", "theta1_hat")
 
 

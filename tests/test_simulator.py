@@ -10,7 +10,11 @@ import pytest
 import safelift as sl
 from safelift.errors import ConfigError, StepRejected
 from safelift import simulator
-from safelift.simulator import CSV_CHUNK_ROWS, write_csvs
+from safelift.simulator import BLOCK_ROWS, write_csvs
+
+from test_cli import use_cpus
+from test_law_reference import hexes
+from test_log_buffer import failing
 
 REPO = Path(__file__).resolve().parent.parent
 V0_BENCH = 57.441257570906908
@@ -193,11 +197,30 @@ class TestRun:
         assert np.all(traj.x1 == 0.0)
         assert np.all(traj.x2 == 0.0)
 
-    def test_log_stride_and_final_sample(self, bench_cfg):
+    def test_log_stride_and_final_sample(self, bench_cfg, tmp_path, monkeypatch):
         cfg = bench_cfg(t_final=0.01, log_stride=3)
         traj = sl.run(cfg)
         # Steps 0..10 logged at 0, 3, 6, 9 plus the forced final step 10.
         assert list(np.round(traj.t / cfg.dt).astype(int)) == [0, 3, 6, 9, 10]
+        # t bit for bit: logged row k is step min(k * stride, n), times dt,
+        # over several flushes of the log.
+        stride1 = bench_cfg(t_final=0.6)
+        off = bench_cfg(t_final=0.901, log_stride=3)  # 901 steps: the last is off the stride
+        assert (stride1.n_steps, off.n_steps % 3) == (600, 1)
+        use_cpus(monkeypatch, 2)
+        runs = [
+            (stride1, sl.run(stride1), 601),
+            (off, sl.run(off), 302),
+            # Aborted after logging step 840, its row 280.
+            (off, simulator._integrate(off, failing(off._law, 4 * 840 + 2), off.x0), 281),
+            (off, sl.run_lifted(off), 302),
+            # A forked writer forms the columns of the Trajectory run returns.
+            (off, sl.run(off, lambda traj: [traj.csv_table(tmp_path / "trace.csv")]), 302),
+        ]
+        for cfg, traj, rows in runs:
+            n, stride = cfg.n_steps, cfg.log_stride
+            assert hexes(traj.t) == hexes(float(min(k * stride, n)) * cfg.dt
+                                          for k in range(rows))
 
     def test_determinism(self, bench_cfg):
         cfg = bench_cfg(t_final=2.0)
@@ -418,7 +441,7 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1e15, 1e16, 123456789012345.6,
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_bytes_match_per_cell_formatting(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         edge = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
@@ -432,7 +455,7 @@ class TestWriteCsv:
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_text().splitlines()) == rows + 1
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_shared_columns_write_as_if_alone(self, tmp_path, rows):
         # Columns passed to several tables, in other orders and positions
         # and twice within one table, are formatted once per chunk; every
@@ -459,7 +482,7 @@ class TestWriteCsvColumnTypes:
         # write_csvs reads every column as float64; ints (odd ones past
         # 2**53 too), bools and Python lists must still print as each
         # cell's own f"{v:.15g}".
-        rows = CSV_CHUNK_ROWS + 3
+        rows = BLOCK_ROWS + 3
         rng = np.random.default_rng(14)
         ints = rng.integers(-2 ** 62, 2 ** 62, rows)
         ints[:4] = (0, -7, 10 ** 15, 2 ** 53 + 1)
